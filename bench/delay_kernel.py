@@ -1,0 +1,68 @@
+"""Layer timings of the delay kernel, printed as one JSON object.
+
+    PYTHONPATH=src python3 bench/delay_kernel.py
+
+Uses only API that predates the wavefront kernel, so the same command times
+an older checkout too (point PYTHONPATH at its src/). Each value is the
+median over 5 repeats of the mean seconds per call.
+- solve_delay_table: the case-study policy (T = 23, rates 2 and 5,
+  lambda = 3) under the pure threshold n0.
+- mixed_interval: find_mixed_equilibria on one unit interval (k, k+1) of the
+  case study at reward 20, where w(x) < r_tilde throughout, so the time is
+  the 65 probes alone, with no bisection.
+- enumerate_pure: enumerate_pure_equilibria on the general policy with rates
+  1, 2, 3 and tail 4 (mu_1 / M = 0.25), r_tilde M = 60 and 200: candidates
+  15..60 and 50..200.
+"""
+from __future__ import annotations
+
+import json
+import platform
+import statistics
+import time
+
+import numpy as np
+
+from threshq.equilibrium import enumerate_pure_equilibria, find_mixed_equilibria
+from threshq.delay import solve_delay_table
+from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
+
+CASE = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
+GENERAL = ServiceRatePolicy((1.0, 2.0, 3.0), 4.0)
+
+
+def seconds(fn, budget: float = 0.5) -> float:
+    fn()
+    start = time.perf_counter()
+    fn()
+    calls = max(1, int(budget / 5 / max(time.perf_counter() - start, 1e-6)))
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        runs.append((time.perf_counter() - start) / calls)
+    return statistics.median(runs)
+
+
+def main() -> dict:
+    case = EconomicParams(3.0, 8.5, 1.0)
+    rows = {}
+    for n0 in (25, 100, 300, 1000):
+        strategy = strategy_from_x(n0)
+        rows[f"solve_delay_table.n0_{n0}.s"] = seconds(
+            lambda: solve_delay_table(CASE, strategy, case))
+    far = EconomicParams(3.0, 20.0, 1.0)
+    for k in (25, 45):
+        rows[f"mixed_interval.k_{k}.s"] = seconds(
+            lambda: find_mixed_equilibria(far, CASE, float(k), k + 1.0))
+    for rm in (60, 200):
+        params = EconomicParams(1.5, rm / GENERAL.max_rate, 1.0)
+        rows[f"enumerate_pure.rM_{rm}.s"] = seconds(
+            lambda: enumerate_pure_equilibria(params, GENERAL))
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(), "seconds": rows}
+
+
+if __name__ == "__main__":
+    print(json.dumps(main(), indent=2))

@@ -51,6 +51,10 @@ def cmd_delay(args) -> int:
     params, policy = load_instance(args.instance)
     if args.x < 0:
         raise InstanceError("x must be nonnegative")
+    if not math.isfinite(args.x):
+        raise InstanceError("x must be finite")
+    # the balk state is ceil(x); check it before building a strategy that long
+    delay_mod.check_table_size(math.ceil(args.x))
     strategy = strategy_from_x(args.x)
     table = delay_mod.solve_delay_table(policy, strategy, params)
     _write(args.out, "delay_table.csv", table.to_csv())

@@ -2,18 +2,32 @@
 
 The generalized delay W(n, m) is the expected remaining sojourn of a tagged
 customer with n customers ahead out of m total, when all future arrivals
-follow the given strategy. The defining first-step system is triangular, so
-it is solved by a backward sweep in m for each n ascending; no general
-linear solver is needed.
+follow the given strategy. The defining first-step system is triangular:
+W(n, m) reads only W(n, m+1) and W(n-1, m-1), and both lie on the
+anti-diagonal wavefront c + 1, where c = m - 2n. So the system is solved one
+wavefront at a time, c = n0 down to 2 - n0, each wavefront one numpy
+expression over strided slices; no general linear solver is needed.
+
+The same kernel solves a batch of strategies at once: their join
+probabilities are zero-padded to the largest balk state, and entries past a
+row's own balk state are finite and multiplied by p = 0, so they never reach
+a valid entry. Callers that need only the marginal delay W(n0-1, n0) keep two
+wavefronts instead of the table.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
+
+# largest full table (rows x columns) that solve_delay_table allocates: about
+# 80 MB, n0 up to 3161
+MAX_TABLE_CELLS = 10**7
+# strategies x padded balk state per batched sweep; larger batches are split,
+# so the memory of a batched solve stays a few MB whatever its size
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -41,31 +55,102 @@ class DelayTable:
         return "\n".join(lines) + "\n"
 
 
+def check_table_size(n0: int) -> None:
+    """Raise ValueError when the full table for balk state n0 exceeds MAX_TABLE_CELLS."""
+    cells = max(n0, 1) * (n0 + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"delay table for balk state {n0} has {cells} cells, "
+                         f"over the limit of {MAX_TABLE_CELLS}")
+
+
+def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
+           table: np.ndarray | None = None) -> np.ndarray:
+    """Wavefronts c = N .. 2 - N for B strategies padded to balk state N.
+
+    ``probs[m, b]`` is strategy b's join probability at state m (zero from
+    its balk state on) and ``mu[m]`` the rate with m present. Each entry is
+    1/den + (lp/den) W(n, m+1) + (mu/den) W(n-1, m-1), lp = lam p_m,
+    den = lp + mu_m, in that order. Arrays are flat and n-major, B entries
+    per n, so a wavefront is one contiguous slice: the buffers hold
+    n = -1..N, zero where an entry falls outside the triangle, and the
+    coefficients are split by the parity of m. Returns W(n0-1, n0) per
+    strategy; with ``table`` (B = 1) entry (n, m = c + 2n) is also written
+    at flat index c + n (N + 3).
+    """
+    N, B = probs.shape[0] - 1, probs.shape[1]
+    n0s = np.count_nonzero(probs, axis=0)
+    lp = lam * probs
+    den = lp + mu[:, None]
+    # per coefficient and parity q of m, the rows m = q, q + 2, ... flattened
+    inv, right, diag = ([np.ascontiguousarray(x[q::2]).ravel() for q in (0, 1)]
+                        for x in (1.0 / den, lp / den, mu[:, None] / den))
+    bufs = np.zeros((2, (N + 2) * B))
+    prev, cur = bufs
+    tmp = np.empty((N // 2 + 1) * B)
+    flat = None if table is None else table.reshape(-1)
+    for c in range(N, 1 - N, -1):
+        lo, hi = (0 if c > 0 else 1 - c), (N - c) // 2
+        u, v = lo * B, (hi + 1) * B
+        i, q = (c // 2 + lo) * B, c & 1  # m = c + 2 lo is row c // 2 + lo of parity q
+        coef = slice(i, i + v - u)
+        dst = cur[u + B:v + B]
+        np.multiply(right[q][coef], prev[u + B:v + B], out=dst)
+        dst += inv[q][coef]
+        t = tmp[:v - u]
+        np.multiply(diag[q][coef], prev[u:v], out=t)
+        dst += t
+        if flat is not None:
+            flat[c + lo * (N + 3):c + hi * (N + 3) + 1:N + 3] = dst
+        prev, cur = cur, prev
+    # wavefront j = N - c, counted from 0, wrote bufs[(j + 1) % 2]; strategy b's
+    # last is j = N + n0 - 2
+    return bufs[(N + n0s - 1) % 2, n0s * B + np.arange(B)]
+
+
+def _rates(policy: ServiceRatePolicy, n0: int) -> np.ndarray:
+    """Index m holds mu_m for 1 <= m <= n0; index 0, which no entry reads, holds mu_1."""
+    return np.array([policy.rate_at(max(m, 1)) for m in range(n0 + 1)])
+
+
 def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
                       params: EconomicParams) -> DelayTable:
     """Solve the first-step equations for all W(n, m), 0 <= n < m <= n0.
 
-    Row n = 0 sweeps m backward from n0 (where W(0, n0) = 1/mu_{n0}); each
-    later row n uses row n - 1. A balk state of 0 yields an empty table.
+    A balk state of 0 yields an empty table; a table over MAX_TABLE_CELLS
+    raises ValueError.
     """
     n0 = strategy.balk_state
-    lam = params.arrival_rate
+    check_table_size(n0)
     W = np.full((max(n0, 1), n0 + 1), np.nan)
-    if n0 == 0:
-        return DelayTable(0, W)
-    mu = [policy.rate_at(m) for m in range(1, n0 + 1)]  # mu[m-1] = mu_m
-    p = [strategy.prob(m) for m in range(n0 + 1)]
-    for n in range(n0):
-        for m in range(n0, n, -1):
-            lp = lam * p[m]
-            denom = lp + mu[m - 1]
-            val = 1.0 / denom
-            if m < n0:
-                val += (lp / denom) * W[n, m + 1]
-            if n >= 1:
-                val += (mu[m - 1] / denom) * W[n - 1, m - 1]
-            W[n, m] = val
+    if n0 > 0:
+        probs = np.array(strategy.probs)[:, None]
+        _sweep(params.arrival_rate, _rates(policy, n0), probs, W)
     return DelayTable(n0, W)
+
+
+def marginal_delays(policy: ServiceRatePolicy, strategies: list[JoinStrategy],
+                    params: EconomicParams) -> np.ndarray:
+    """W(n0-1, n0) under each strategy, n0 its balk state (0.0 where n0 = 0).
+
+    Bit-identical to reading the entry from ``solve_delay_table`` one
+    strategy at a time. No table is formed: the batch is solved in chunks of
+    at most _CHUNK_CELLS padded cells.
+    """
+    n0s = np.array([s.balk_state for s in strategies], dtype=np.int64)
+    out = np.zeros(len(strategies))
+    order = np.argsort(-n0s, kind="stable")
+    order = order[n0s[order] > 0]
+    mu = _rates(policy, int(n0s.max(initial=0)))
+    size = max(1, _CHUNK_CELLS // (len(mu) + 1))
+    for start in range(0, len(order), size):
+        rows = order[start:start + size]
+        N = int(n0s[rows[0]])
+        probs = np.zeros((N + 1, len(rows)))
+        for i, b in enumerate(rows):
+            p = strategies[b].probs
+            probs[:len(p), i] = p
+        out[rows] = _sweep(params.arrival_rate, mu[:N + 1], probs)
+    return out
 
 
 def arrival_delay(table: DelayTable, policy: ServiceRatePolicy, n: int) -> float:

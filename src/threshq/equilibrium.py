@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .delay import solve_delay_table
+from .delay import marginal_delays, solve_delay_table
 from .model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
 TOL_EQ = 1e-9       # equality / indifference tolerance, time units
@@ -84,14 +84,16 @@ class EquilibriumReport:
         return "\n".join(lines) + "\n"
 
 
+def _pure_marginals(n0s, params: EconomicParams, policy: ServiceRatePolicy) -> list[float]:
+    """W(n0-1, n0) under each pure threshold strategy n0 (0.0 for n0 = 0)."""
+    if any(n0 < 0 for n0 in n0s):
+        raise ValueError("threshold must be nonnegative")
+    return marginal_delays(policy, [strategy_from_x(n0) for n0 in n0s], params).tolist()
+
+
 def pure_marginal_delay(n0: int, params: EconomicParams, policy: ServiceRatePolicy) -> float:
     """W(n0-1, n0) under the pure threshold strategy n0 (0.0 for n0 = 0)."""
-    if n0 < 0:
-        raise ValueError("threshold must be nonnegative")
-    if n0 == 0:
-        return 0.0
-    table = solve_delay_table(policy, strategy_from_x(n0), params)
-    return table.w(n0 - 1, n0)
+    return _pure_marginals([n0], params, policy)[0]
 
 
 def net_benefit(q_n: float, n: int, strategy: JoinStrategy,
@@ -149,8 +151,13 @@ def is_pure_equilibrium(n0: int, params: EconomicParams,
     r_tilde <= 1/mu_1, which is the same two-sided condition with the
     convention W(-1, 0) = 0.
     """
+    return _diagnose(n0, pure_marginal_delay(n0, params, policy), params, policy, tol_eq)
+
+
+def _diagnose(n0: int, w: float, params: EconomicParams, policy: ServiceRatePolicy,
+              tol_eq: float) -> CandidateDiagnostic:
+    """The test of ``is_pure_equilibrium`` given the marginal delay w = W(n0-1, n0)."""
     r = params.r_tilde
-    w = pure_marginal_delay(n0, params, policy)
     lower = r - 1.0 / policy.rate_at(n0 + 1)
     upper = r
     cond = (w >= lower - tol_eq) and (w <= upper + tol_eq)
@@ -218,18 +225,15 @@ def enumerate_pure_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
                 n0, w, lower, params.r_tilde, n0 in below, n0 in below))
         pure.extend(sorted(below))
         L, U = rng
-        for n0 in range(max(math.ceil(L - tol_eq), T + 1), math.floor(U + tol_eq) + 1):
-            diag = is_pure_equilibrium(n0, params, policy, tol_eq)
-            diagnostics.append(diag)
-            if diag.is_equilibrium:
-                pure.append(n0)
+        candidates = list(range(max(math.ceil(L - tol_eq), T + 1), math.floor(U + tol_eq) + 1))
     else:
         low, high = int(rng[0]), int(rng[1])
-        for n0 in sorted({0} | set(range(max(low, 1), high + 1))):
-            diag = is_pure_equilibrium(n0, params, policy, tol_eq)
-            diagnostics.append(diag)
-            if diag.is_equilibrium:
-                pure.append(n0)
+        candidates = sorted({0} | set(range(max(low, 1), high + 1)))
+    for n0, w in zip(candidates, _pure_marginals(candidates, params, policy)):
+        diag = _diagnose(n0, w, params, policy, tol_eq)
+        diagnostics.append(diag)
+        if diag.is_equilibrium:
+            pure.append(n0)
     return EquilibriumReport(sorted(set(pure)), candidate_range=rng,
                              diagnostics=diagnostics)
 
@@ -238,13 +242,22 @@ def marginal_delay(x: float, params: EconomicParams, policy: ServiceRatePolicy) 
     """Marginal delay w(x) = W(floor(x), floor(x)+1) under the threshold-x
     strategy; at integer x this is the pure-threshold value W(x-1, x)
     (w is left-continuous)."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    k = math.floor(x)
-    table = solve_delay_table(policy, strategy_from_x(x), params)
-    if x == k:
-        return table.w(k - 1, k)
-    return table.w(k, k + 1)
+    return _marginals([x], params, policy)[0]
+
+
+def _marginals(xs, params: EconomicParams, policy: ServiceRatePolicy) -> list[float]:
+    """w(x) for each x, in one batched solve."""
+    strategies = []
+    for x in xs:
+        if x <= 0.0:
+            raise ValueError("x must be positive")
+        strategy = strategy_from_x(x)
+        k = math.floor(x)
+        if x != k and strategy.balk_state == k:
+            # the join probability x - k snapped to 0, so W(k, k+1) does not exist
+            raise ValueError(f"W({k},{k + 1}) is outside the table (n0={k})")
+        strategies.append(strategy)
+    return marginal_delays(policy, strategies, params).tolist()
 
 
 def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -294,7 +307,7 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
             intervals.append((float(k), k + 1.0))
             continue
         xs = [lo + _EDGE_PROBE] + [lo + (hi - lo) * i / probes for i in range(1, probes + 1)]
-        fs = [f(x) for x in xs]
+        fs = [w - r for w in _marginals(xs, params, policy)]
         if all(abs(v) <= TOL_ROOT for v in fs):
             intervals.append((lo, hi))
             continue
@@ -320,11 +333,9 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
 def sweep_pure(params: EconomicParams, policy: ServiceRatePolicy,
                n0_lo: int, n0_hi: int, tol_eq: float = TOL_EQ) -> list[tuple[int, float, bool]]:
     """(n0, W(n0-1, n0), |W - r_tilde| <= tol) for each integer threshold."""
-    out = []
-    for n0 in range(max(n0_lo, 1), n0_hi + 1):
-        w = pure_marginal_delay(n0, params, policy)
-        out.append((n0, w, abs(w - params.r_tilde) <= tol_eq))
-    return out
+    n0s = range(max(n0_lo, 1), n0_hi + 1)
+    return [(n0, w, abs(w - params.r_tilde) <= tol_eq)
+            for n0, w in zip(n0s, _pure_marginals(n0s, params, policy))]
 
 
 def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
@@ -333,14 +344,14 @@ def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
     """(x, w(x), equilibrium hit) on the grid x_lo + i*step up to x_hi."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    out = []
+    xs = []
     i = 0
     while True:
         x = x_lo + i * step
         if x > x_hi + 1e-12:
             break
         if x > 0.0:
-            w = marginal_delay(x, params, policy)
-            out.append((x, w, abs(w - params.r_tilde) <= tol_eq))
+            xs.append(x)
         i += 1
-    return out
+    return [(x, w, abs(w - params.r_tilde) <= tol_eq)
+            for x, w in zip(xs, _marginals(xs, params, policy))]

@@ -185,8 +185,16 @@ _PREFIX_KEYS = {"prefix", "tail"}
 _TWO_RATE_KEYS = {"T", "mu_low", "mu_high"}
 
 
+def _finite(value, name: str) -> float:
+    """float(value), rejecting NaN and infinities (json accepts both)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise InstanceError(f"{name} must be a finite number, got {x!r}")
+    return x
+
+
 def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
-    """Parse a problem-instance document; unknown keys are rejected."""
+    """Parse a problem-instance document; unknown keys and non-finite numbers are rejected."""
     if not isinstance(doc, dict):
         raise InstanceError("instance must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -196,7 +204,7 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
     if missing:
         raise InstanceError(f"missing instance keys: {sorted(missing)}")
     try:
-        params = EconomicParams(float(doc["lambda"]), float(doc["reward"]), float(doc["wait_cost"]))
+        params = EconomicParams(*(_finite(doc[k], k) for k in ("lambda", "reward", "wait_cost")))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InstanceError):
             raise
@@ -209,12 +217,14 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
         prefix = pol["prefix"]
         if not isinstance(prefix, list):
             raise InstanceError("policy prefix must be a list")
-        policy = ServiceRatePolicy(tuple(float(r) for r in prefix), float(pol["tail"]))
+        policy = ServiceRatePolicy(tuple(_finite(r, "policy prefix rate") for r in prefix),
+                                   _finite(pol["tail"], "policy tail"))
     elif keys == _TWO_RATE_KEYS:
         T = pol["T"]
         if not isinstance(T, int) or isinstance(T, bool):
             raise InstanceError("policy T must be an integer")
-        policy = ServiceRatePolicy.two_rate(T, float(pol["mu_low"]), float(pol["mu_high"]))
+        policy = ServiceRatePolicy.two_rate(T, _finite(pol["mu_low"], "policy mu_low"),
+                                            _finite(pol["mu_high"], "policy mu_high"))
     else:
         raise InstanceError(f"policy keys must be {sorted(_PREFIX_KEYS)} or {sorted(_TWO_RATE_KEYS)}, got {sorted(keys)}")
     return params, policy

@@ -1,9 +1,10 @@
 """Independent reference computations used only by the tests.
 
-These deliberately avoid the library's backward-recursion code path: the
-dense oracle assembles the full first-step linear system and hands it to a
-generic solver; the below-threshold brute force checks the two-sided delay
-condition directly with the constant-low-rate closed forms.
+These deliberately avoid the library's wavefront kernel: the dense oracle
+assembles the full first-step linear system and hands it to a generic
+solver; the loop oracle solves the triangular system one entry at a time;
+the below-threshold brute force checks the two-sided delay condition
+directly with the constant-low-rate closed forms.
 """
 from __future__ import annotations
 
@@ -66,3 +67,29 @@ def naor_set(r_tilde, mu):
     lo = max(math.ceil(r_tilde * mu - 1.0 - 1e-9), 0)
     hi = math.floor(r_tilde * mu + 1e-9)
     return [n for n in range(lo, hi + 1)]
+
+
+def loop_delay_solve(policy, strategy, params):
+    """The triangular system solved entry by entry, as an (n0, n0+1) array.
+
+    Row n = 0 sweeps m backward from n0 (where W(0, n0) = 1/mu_{n0}); each
+    later row n uses row n - 1. Each entry is evaluated in the same order as
+    the library's wavefront kernel, so the two agree bit for bit; entries
+    outside 0 <= n < m <= n0 are NaN.
+    """
+    n0 = strategy.balk_state
+    lam = params.arrival_rate
+    W = np.full((max(n0, 1), n0 + 1), np.nan)
+    mu = [policy.rate_at(m) for m in range(1, n0 + 1)]  # mu[m-1] = mu_m
+    p = [strategy.prob(m) for m in range(n0 + 1)]
+    for n in range(n0):
+        for m in range(n0, n, -1):
+            lp = lam * p[m]
+            denom = lp + mu[m - 1]
+            val = 1.0 / denom
+            if m < n0:
+                val += (lp / denom) * W[n, m + 1]
+            if n >= 1:
+                val += (mu[m - 1] / denom) * W[n - 1, m - 1]
+            W[n, m] = val
+    return W

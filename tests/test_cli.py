@@ -59,6 +59,30 @@ class TestDelayCommand:
         assert "error" in err
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda", float("inf")), ("tail", float("nan")), ("prefix", float("-inf"))])
+    def test_non_finite_instance_exit_2(self, tmp_path, capsys, field, value):
+        doc = {"lambda": 1.0, "reward": 3.0, "wait_cost": 1.0,
+               "policy": {"prefix": [1.0], "tail": 2.0}}
+        if field == "lambda":
+            doc["lambda"] = value
+        elif field == "tail":
+            doc["policy"]["tail"] = value
+        else:
+            doc["policy"]["prefix"] = [value]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity, which json.load accepts
+        code, out, err = run_cli(capsys, "delay", "--instance", str(path), "--x", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+    def test_huge_x_exit_2(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "delay", "--instance", str(case_study_instance),
+                                 "--x", "1e7")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "over the limit" in err and err.count("\n") == 1
+
+
 class TestEquilibriaCommand:
     def test_json_report(self, capsys, case_study_instance):
         code, out, _ = run_cli(capsys, "equilibria", "--instance", str(case_study_instance))

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from threshq.delay import arrival_delay, arrival_delays, closed_form_below_T, solve_delay_table
+from threshq import delay
+from threshq.delay import (
+    arrival_delay,
+    arrival_delays,
+    closed_form_below_T,
+    marginal_delays,
+    solve_delay_table,
+)
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
-from _oracles import dense_delay_solve
+from _oracles import dense_delay_solve, loop_delay_solve
 from conftest import random_general_strategy, random_params, random_policy, random_threshold_strategy
 
 
@@ -130,6 +137,72 @@ class TestSolveDelayTable:
                 if n >= 1:
                     rhs += mu / (lam * pm + mu) * t.w(n - 1, m - 1)
                 assert abs(t.w(n, m) - rhs) <= 1e-12
+
+
+class TestWavefrontKernel:
+    """The wavefront kernel against the entry-by-entry loop, bit for bit."""
+
+    @staticmethod
+    def strategies(rng, n0):
+        yield strategy_from_x(n0)
+        if n0 >= 1:
+            yield strategy_from_x(n0 - 1 + float(rng.uniform(0.05, 0.95)))
+            yield JoinStrategy(tuple(rng.uniform(0.05, 1.0, n0)) + (0.0,))
+
+    def test_entries_equal_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        for n0 in range(61):
+            policies = (random_policy(rng, max_prefix=70),
+                        ServiceRatePolicy.two_rate(int(rng.integers(1, 40)),
+                                                   float(rng.uniform(0.5, 2.0)),
+                                                   float(rng.uniform(2.5, 6.0))))
+            for policy in policies:
+                params = random_params(rng)
+                for strategy in self.strategies(rng, n0):
+                    table = solve_delay_table(policy, strategy, params)
+                    ref = loop_delay_solve(policy, strategy, params)
+                    assert np.array_equal(table.entries, ref, equal_nan=True), (n0, strategy)
+
+    def test_batched_marginals_equal_single_solves(self):
+        rng = np.random.default_rng(32)
+        policy, params = random_policy(rng), random_params(rng)
+        strategies = [strategy_from_x(0)]
+        for n0 in range(1, 81):
+            strategies += list(self.strategies(rng, n0)) * 2
+        order = rng.permutation(len(strategies))
+        strategies = [strategies[i] for i in order]
+        # more cells than one chunk holds, so the batch is split
+        assert len(strategies) * (80 + 2) > delay._CHUNK_CELLS
+        got = marginal_delays(policy, strategies, params)
+        for strategy, w in zip(strategies, got):
+            n0 = strategy.balk_state
+            ref = solve_delay_table(policy, strategy, params).w(n0 - 1, n0) if n0 else 0.0
+            assert w == ref, strategy
+
+    def test_empty_batch(self):
+        out = marginal_delays(ServiceRatePolicy.constant(1.0), [], EconomicParams(1.0, 1.0, 1.0))
+        assert out.shape == (0,)
+
+    def test_entries_read_only_and_nan_outside_triangle(self):
+        rng = np.random.default_rng(33)
+        for n0 in (0, 1, 2, 7, 30):
+            strategy = next(iter(self.strategies(rng, n0)))
+            t = solve_delay_table(random_policy(rng), strategy, random_params(rng))
+            assert t.entries.shape == (max(n0, 1), n0 + 1)
+            with pytest.raises(ValueError):
+                t.entries[0, 0] = 1.0
+            n, m = np.indices(t.entries.shape)
+            inside = (n < m) & (m <= n0)
+            assert np.all(np.isnan(t.entries[~inside]))
+            assert np.all(np.isfinite(t.entries[inside]))
+
+    def test_table_over_cell_budget_rejected(self):
+        n0 = math.isqrt(delay.MAX_TABLE_CELLS) + 1
+        with pytest.raises(ValueError, match="over the limit"):
+            solve_delay_table(ServiceRatePolicy.constant(1.0), strategy_from_x(n0),
+                              EconomicParams(1.0, 1.0, 1.0))
+        # the benchmark's largest tables (n0 near 300) stay far inside the budget
+        assert 300 * 301 * 100 < delay.MAX_TABLE_CELLS
 
 
 class TestArrivalDelay:
