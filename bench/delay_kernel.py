@@ -11,8 +11,11 @@ median over 5 repeats of the mean seconds per call.
   case study at reward 20, where w(x) < r_tilde throughout, so the time is
   the 65 probes alone, with no bisection.
 - enumerate_pure: enumerate_pure_equilibria on the general policy with rates
-  1, 2, 3 and tail 4 (mu_1 / M = 0.25), r_tilde M = 60 and 200: candidates
-  15..60 and 50..200.
+  1, 2, 3 and tail 4 (mu_1 / M = 0.25), r_tilde M = 60 and 200 (candidates
+  from about r_tilde mu_1 up to r_tilde M); on the case study at reward 8.5,
+  and at reward 60 (r_tilde M = 300).
+- sweep_mixed, find_mixed: the case study at reward 9.1 over 24..46, the
+  benchmark's slowest queries: a sweep at step 0.05 and the mixed search.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import time
 
 import numpy as np
 
-from threshq.equilibrium import enumerate_pure_equilibria, find_mixed_equilibria
+from threshq.equilibrium import enumerate_pure_equilibria, find_mixed_equilibria, sweep_mixed
 from threshq.delay import solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
@@ -60,6 +63,13 @@ def main() -> dict:
         params = EconomicParams(1.5, rm / GENERAL.max_rate, 1.0)
         rows[f"enumerate_pure.rM_{rm}.s"] = seconds(
             lambda: enumerate_pure_equilibria(params, GENERAL))
+    for label, reward in (("case_study", 8.5), ("two_rate_rM_300", 60.0)):
+        params = EconomicParams(3.0, reward, 1.0)
+        rows[f"enumerate_pure.{label}.s"] = seconds(
+            lambda: enumerate_pure_equilibria(params, CASE))
+    near = EconomicParams(3.0, 9.1, 1.0)
+    rows["sweep_mixed.24_46.s"] = seconds(lambda: sweep_mixed(near, CASE, 24.0, 46.0, 0.05))
+    rows["find_mixed.24_46.s"] = seconds(lambda: find_mixed_equilibria(near, CASE, 24.0, 46.0))
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "seconds": rows}
 

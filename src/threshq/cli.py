@@ -33,9 +33,19 @@ def _parse_range(spec: str) -> tuple[float, float, float | None]:
         step = float(parts[2]) if len(parts) == 3 else None
     except ValueError:
         raise InstanceError(f"bad range {spec!r}") from None
+    if not all(math.isfinite(v) for v in (a, b, step or 1.0)):
+        raise InstanceError(f"bad range {spec!r}; bounds and step must be finite")
     if step is not None and step <= 0.0:
         raise InstanceError("range step must be positive")
     return a, b, step
+
+
+def _check_work(top: float, what: str) -> None:
+    """Reject a command before any solve when the largest balk state it
+    solves for, ceil(top), has a full table over delay.MAX_TABLE_CELLS."""
+    if not math.isfinite(top):
+        raise InstanceError(f"{what} must be finite")
+    delay_mod.check_table_size(math.ceil(top))
 
 
 def _write(outdir: str | None, name: str, text: str) -> None:
@@ -51,10 +61,8 @@ def cmd_delay(args) -> int:
     params, policy = load_instance(args.instance)
     if args.x < 0:
         raise InstanceError("x must be nonnegative")
-    if not math.isfinite(args.x):
-        raise InstanceError("x must be finite")
     # the balk state is ceil(x); check it before building a strategy that long
-    delay_mod.check_table_size(math.ceil(args.x))
+    _check_work(args.x, "x")
     strategy = strategy_from_x(args.x)
     table = delay_mod.solve_delay_table(policy, strategy, params)
     _write(args.out, "delay_table.csv", table.to_csv())
@@ -79,6 +87,9 @@ def cmd_equilibria(args) -> int:
         lines = ["R,below_T,above_T,L,U"]
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
+        # the scan of reward R ends at floor(R / C * M + tol)
+        _check_work(max(rewards, default=0.0) / params.wait_cost * policy.max_rate + tol,
+                    "r_tilde * M")
         T = policy.threshold_form[0]
         from .model import EconomicParams
 
@@ -91,12 +102,13 @@ def cmd_equilibria(args) -> int:
             lines.append(f"{R:g},{_set_str(below)},{_set_str(above)},{L:g},{U:g}")
         _write(args.out, "table1.csv", "\n".join(lines) + "\n")
         return EXIT_OK
+    mixed = _parse_range(args.mixed_range)[:2] if args.mixed_range else None
+    top = params.r_tilde * policy.max_rate + tol
+    _check_work(max(top, mixed[1]) if mixed else top, "r_tilde * M")
     report = eq_mod.enumerate_pure_equilibria(params, policy, tol)
-    if args.mixed_range:
-        a, b, _ = _parse_range(args.mixed_range)
-        pts, ivals = eq_mod.find_mixed_equilibria(params, policy, a, b)
-        report.mixed_points = pts
-        report.mixed_intervals = ivals
+    if mixed:
+        report.mixed_points, report.mixed_intervals = eq_mod.find_mixed_equilibria(
+            params, policy, *mixed)
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     if args.out is not None:
         _write(args.out, "diagnostics.csv", report.diagnostics_csv())
@@ -106,6 +118,7 @@ def cmd_equilibria(args) -> int:
 def cmd_sweep(args) -> int:
     params, policy = load_instance(args.instance)
     a, b, step = _parse_range(args.range)
+    _check_work(b, "range end")
     if args.kind == "pure_n0":
         rows = eq_mod.sweep_pure(params, policy, int(a), int(b))
         lines = ["n0,W,equilibrium_hit"]

@@ -8,11 +8,11 @@ anti-diagonal wavefront c + 1, where c = m - 2n. So the system is solved one
 wavefront at a time, c = n0 down to 2 - n0, each wavefront one numpy
 expression over strided slices; no general linear solver is needed.
 
-The same kernel solves a batch of strategies at once: their join
-probabilities are zero-padded to the largest balk state, and entries past a
-row's own balk state are finite and multiplied by p = 0, so they never reach
-a valid entry. Callers that need only the marginal delay W(n0-1, n0) keep two
-wavefronts instead of the table.
+The same kernel solves a batch of threshold strategies at once: their join
+probabilities clip(x - m, 0, 1) run to the largest balk state ceil(x) and
+are zero from each row's own balk state on, so entries past it are finite
+and multiplied by p = 0, and never reach a valid entry. Callers that need
+only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
 """
 from __future__ import annotations
 
@@ -128,16 +128,20 @@ def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
     return DelayTable(n0, W)
 
 
-def marginal_delays(policy: ServiceRatePolicy, strategies: list[JoinStrategy],
-                    params: EconomicParams) -> np.ndarray:
-    """W(n0-1, n0) under each strategy, n0 its balk state (0.0 where n0 = 0).
+def marginal_delays(policy: ServiceRatePolicy, xs, params: EconomicParams) -> np.ndarray:
+    """W(n0-1, n0) under each threshold-x strategy, n0 = ceil(x) (0.0 where x = 0).
 
-    Bit-identical to reading the entry from ``solve_delay_table`` one
-    strategy at a time. No table is formed: the batch is solved in chunks of
-    at most _CHUNK_CELLS padded cells.
+    Threshold x joins with probability clip(x - m, 0, 1) at state m: always
+    below floor(x), with probability x - floor(x) at floor(x). Probabilities
+    are used as they are, however close to 0 or 1. Equal bit for bit to a
+    one-strategy solve of the same probabilities. No table is formed: the
+    batch is solved in chunks of at most _CHUNK_CELLS padded cells.
     """
-    n0s = np.array([s.balk_state for s in strategies], dtype=np.int64)
-    out = np.zeros(len(strategies))
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs >= 0.0) & np.isfinite(xs)):
+        raise ValueError("threshold x must be finite and nonnegative")
+    n0s = np.ceil(xs).astype(np.int64)
+    out = np.zeros(len(xs))
     order = np.argsort(-n0s, kind="stable")
     order = order[n0s[order] > 0]
     mu = _rates(policy, int(n0s.max(initial=0)))
@@ -145,10 +149,7 @@ def marginal_delays(policy: ServiceRatePolicy, strategies: list[JoinStrategy],
     for start in range(0, len(order), size):
         rows = order[start:start + size]
         N = int(n0s[rows[0]])
-        probs = np.zeros((N + 1, len(rows)))
-        for i, b in enumerate(rows):
-            p = strategies[b].probs
-            probs[:len(p), i] = p
+        probs = np.clip(xs[rows] - np.arange(N + 1.0)[:, None], 0.0, 1.0)
         out[rows] = _sweep(params.arrival_rate, mu[:N + 1], probs)
     return out
 
@@ -173,13 +174,3 @@ def arrival_delays(table: DelayTable, policy: ServiceRatePolicy) -> list[float]:
     """W(n) for every n = 0..n0."""
     return [arrival_delay(table, policy, n) for n in range(table.n0 + 1)]
 
-
-def closed_form_below_T(policy: ServiceRatePolicy, n: int) -> float:
-    """Delay (n+1)/mu_low for a joiner at state n when the balk state stays
-    at or below the service threshold, so only the low rate is ever used."""
-    if policy.threshold_form is None:
-        raise ValueError("closed form requires a two-rate threshold policy")
-    if n < 0:
-        raise ValueError("state must be nonnegative")
-    _, mu_low, _ = policy.threshold_form
-    return (n + 1) / mu_low

@@ -1,18 +1,22 @@
 """Pure and mixed threshold equilibrium search.
 
-A pure threshold n0 is an equilibrium in the recurrent class iff it lies in
-the admissible range and r_tilde - 1/mu_{n0+1} <= W(n0-1, n0) <= r_tilde.
-A mixed threshold x is an equilibrium iff the marginal delay w(x) equals
-r_tilde; roots are located by grid probing plus bisection since per-interval
-monotonicity of w is observed but not proved.
+A pure threshold n0 is an equilibrium in the recurrent class iff
+r_tilde - 1/mu_{n0+1} <= W(n0-1, n0) <= r_tilde. The delay bounds
+n0/M <= W(n0-1, n0) <= n0/mu_1 confine such n0 to the integers from
+r_tilde mu_1 - 1 to r_tilde M, so one scan of that range, scored in one
+batched solve, finds them all; the two-rate closed form below the service
+threshold is a corollary the tests cross-check. A mixed threshold x is an
+equilibrium iff the marginal delay w(x) equals r_tilde; roots are located by
+grid probing plus bisection since per-interval monotonicity of w is observed
+but not proved.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .delay import marginal_delays, solve_delay_table
-from .model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
+from .delay import arrival_delay, marginal_delays, solve_delay_table
+from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
 
 TOL_EQ = 1e-9       # equality / indifference tolerance, time units
 TOL_INT = 1e-9      # integrality test for r_tilde * mu_low
@@ -35,7 +39,6 @@ class CandidateDiagnostic:
     w_marginal: float
     lower_bound: float
     upper_bound: float
-    in_range: bool
     is_equilibrium: bool
 
 
@@ -66,7 +69,6 @@ class EquilibriumReport:
                     "W_marginal": d.w_marginal,
                     "lower_bound": d.lower_bound,
                     "upper_bound": d.upper_bound,
-                    "in_range": d.in_range,
                     "is_equilibrium": d.is_equilibrium,
                 }
                 for d in self.diagnostics
@@ -84,24 +86,15 @@ class EquilibriumReport:
         return "\n".join(lines) + "\n"
 
 
-def _pure_marginals(n0s, params: EconomicParams, policy: ServiceRatePolicy) -> list[float]:
-    """W(n0-1, n0) under each pure threshold strategy n0 (0.0 for n0 = 0)."""
-    if any(n0 < 0 for n0 in n0s):
-        raise ValueError("threshold must be nonnegative")
-    return marginal_delays(policy, [strategy_from_x(n0) for n0 in n0s], params).tolist()
-
-
 def pure_marginal_delay(n0: int, params: EconomicParams, policy: ServiceRatePolicy) -> float:
     """W(n0-1, n0) under the pure threshold strategy n0 (0.0 for n0 = 0)."""
-    return _pure_marginals([n0], params, policy)[0]
+    return float(marginal_delays(policy, [n0], params)[0])
 
 
 def net_benefit(q_n: float, n: int, strategy: JoinStrategy,
                 params: EconomicParams, policy: ServiceRatePolicy) -> float:
     """Expected net benefit C * q_n * (r_tilde - W(n)) of joining with
     probability q_n at state n when everyone else follows ``strategy``."""
-    from .delay import arrival_delay
-
     table = solve_delay_table(policy, strategy, params)
     return params.wait_cost * q_n * (params.r_tilde - arrival_delay(table, policy, n))
 
@@ -109,8 +102,6 @@ def net_benefit(q_n: float, n: int, strategy: JoinStrategy,
 def best_response(n: int, strategy: JoinStrategy, params: EconomicParams,
                   policy: ServiceRatePolicy, tol: float = TOL_EQ) -> str:
     """Best response at state n: 'join', 'balk', or 'indifferent'."""
-    from .delay import arrival_delay
-
     table = solve_delay_table(policy, strategy, params)
     gap = params.r_tilde - arrival_delay(table, policy, n)
     if gap > tol:
@@ -120,12 +111,21 @@ def best_response(n: int, strategy: JoinStrategy, params: EconomicParams,
     return "indifferent"
 
 
-def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> tuple[float, float]:
-    """Admissible range of pure threshold equilibria.
+def _scan(params: EconomicParams, policy: ServiceRatePolicy, tol_eq: float) -> range:
+    """Every n0 the delay bounds leave open: W(n0-1, n0) <= n0/mu_1 and
+    1/mu_{n0+1} <= 1/mu_1 give n0 >= r_tilde mu_1 - 1, and W(n0-1, n0) >= n0/M
+    gives n0 <= r_tilde M."""
+    r = params.r_tilde
+    return range(max(math.ceil(r * policy.rate_at(1) - 1.0 - tol_eq), 0),
+                 math.floor(r * policy.max_rate + tol_eq) + 1)
 
-    General policies: integers [ceil((r_tilde - 1/M) mu_1) clamped at 0,
-    floor(r_tilde M)]. Two-rate threshold policies: the real-valued bounds
-    (L, U) for candidates above the service threshold,
+
+def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> tuple[float, float]:
+    """The reported range of pure threshold equilibria.
+
+    General policies: the integers [max(ceil(r_tilde mu_1 - 1), 0),
+    floor(r_tilde M)] that enumerate_pure_equilibria scans. Two-rate threshold policies: the paper's real-valued
+    bounds (L, U) for equilibria above the service threshold,
     L = max{(r_tilde - 1/mu_h) mu_l, T+1}, U = max{r_tilde mu_h, T+1}.
     An empty range is returned as (low, high) with low > high.
     """
@@ -135,11 +135,8 @@ def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> t
         L = max((r - 1.0 / mu_h) * mu_l, T + 1.0)
         U = max(r * mu_h, T + 1.0)
         return (L, U)
-    mu1 = policy.rate_at(1)
-    M = policy.max_rate
-    low = max(math.ceil((r - 1.0 / M) * mu1 - TOL_EQ), 0)
-    high = math.floor(r * M + TOL_EQ)
-    return (float(low), float(high))
+    scan = _scan(params, policy, TOL_EQ)
+    return (float(scan.start), float(scan.stop - 1))
 
 
 def is_pure_equilibrium(n0: int, params: EconomicParams,
@@ -147,9 +144,8 @@ def is_pure_equilibrium(n0: int, params: EconomicParams,
                         tol_eq: float = TOL_EQ) -> CandidateDiagnostic:
     """Test one pure threshold candidate; boundaries are inclusive within tol.
 
-    n0 = 0 (always balk) is tested directly: it is an equilibrium iff
-    r_tilde <= 1/mu_1, which is the same two-sided condition with the
-    convention W(-1, 0) = 0.
+    n0 = 0 (always balk) is an equilibrium iff r_tilde <= 1/mu_1, which is
+    the same two-sided condition with the convention W(-1, 0) = 0.
     """
     return _diagnose(n0, pure_marginal_delay(n0, params, policy), params, policy, tol_eq)
 
@@ -159,24 +155,7 @@ def _diagnose(n0: int, w: float, params: EconomicParams, policy: ServiceRatePoli
     """The test of ``is_pure_equilibrium`` given the marginal delay w = W(n0-1, n0)."""
     r = params.r_tilde
     lower = r - 1.0 / policy.rate_at(n0 + 1)
-    upper = r
-    cond = (w >= lower - tol_eq) and (w <= upper + tol_eq)
-    if n0 == 0:
-        in_range = True
-    elif policy.threshold_form is not None:
-        T, mu_l, mu_h = policy.threshold_form
-        if n0 <= T:
-            # below the service threshold the recurrent class only ever uses
-            # mu_l, so the admissible range tightens to r mu_l - 1 <= n0 <= r mu_l
-            in_range = (r * mu_l - 1.0 - tol_eq <= n0 <= r * mu_l + tol_eq) if n0 < T else \
-                       ((r - 1.0 / mu_h) * mu_l - tol_eq <= T <= r * mu_l + tol_eq)
-        else:
-            L, U = pure_candidate_range(params, policy)
-            in_range = L - tol_eq <= n0 <= U + tol_eq
-    else:
-        low, high = pure_candidate_range(params, policy)
-        in_range = low <= n0 <= high
-    return CandidateDiagnostic(n0, w, lower, upper, in_range, bool(cond and in_range))
+    return CandidateDiagnostic(n0, w, lower, r, lower - tol_eq <= w <= r + tol_eq)
 
 
 def threshold_policy_below_T(params: EconomicParams, policy: ServiceRatePolicy,
@@ -209,32 +188,15 @@ def enumerate_pure_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
                               tol_eq: float = TOL_EQ) -> EquilibriumReport:
     """Test every candidate threshold and return the sorted equilibrium set.
 
-    Two-rate policies split the search: the {0..T} portion uses the closed
-    forms, candidates above T use the general delay test over [L, U].
+    The candidates are the integers from max(ceil(r_tilde mu_1 - 1), 0) to
+    floor(r_tilde M), scored in one batched solve and judged by the
+    two-sided test alone, whatever the policy.
     """
-    rng = pure_candidate_range(params, policy)
-    diagnostics: list[CandidateDiagnostic] = []
-    pure: list[int] = []
-    if policy.threshold_form is not None:
-        T, mu_l, mu_h = policy.threshold_form
-        below = set(threshold_policy_below_T(params, policy))
-        for n0 in range(0, T + 1):
-            w = n0 / mu_l
-            lower = params.r_tilde - 1.0 / policy.rate_at(n0 + 1)
-            diagnostics.append(CandidateDiagnostic(
-                n0, w, lower, params.r_tilde, n0 in below, n0 in below))
-        pure.extend(sorted(below))
-        L, U = rng
-        candidates = list(range(max(math.ceil(L - tol_eq), T + 1), math.floor(U + tol_eq) + 1))
-    else:
-        low, high = int(rng[0]), int(rng[1])
-        candidates = sorted({0} | set(range(max(low, 1), high + 1)))
-    for n0, w in zip(candidates, _pure_marginals(candidates, params, policy)):
-        diag = _diagnose(n0, w, params, policy, tol_eq)
-        diagnostics.append(diag)
-        if diag.is_equilibrium:
-            pure.append(n0)
-    return EquilibriumReport(sorted(set(pure)), candidate_range=rng,
+    scan = _scan(params, policy, tol_eq)
+    diagnostics = [_diagnose(n0, w, params, policy, tol_eq)
+                   for n0, w in zip(scan, marginal_delays(policy, scan, params).tolist())]
+    return EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
+                             candidate_range=pure_candidate_range(params, policy),
                              diagnostics=diagnostics)
 
 
@@ -242,22 +204,9 @@ def marginal_delay(x: float, params: EconomicParams, policy: ServiceRatePolicy) 
     """Marginal delay w(x) = W(floor(x), floor(x)+1) under the threshold-x
     strategy; at integer x this is the pure-threshold value W(x-1, x)
     (w is left-continuous)."""
-    return _marginals([x], params, policy)[0]
-
-
-def _marginals(xs, params: EconomicParams, policy: ServiceRatePolicy) -> list[float]:
-    """w(x) for each x, in one batched solve."""
-    strategies = []
-    for x in xs:
-        if x <= 0.0:
-            raise ValueError("x must be positive")
-        strategy = strategy_from_x(x)
-        k = math.floor(x)
-        if x != k and strategy.balk_state == k:
-            # the join probability x - k snapped to 0, so W(k, k+1) does not exist
-            raise ValueError(f"W({k},{k + 1}) is outside the table (n0={k})")
-        strategies.append(strategy)
-    return marginal_delays(policy, strategies, params).tolist()
+    if x <= 0.0:
+        raise ValueError("x must be positive")
+    return float(marginal_delays(policy, [x], params)[0])
 
 
 def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -282,32 +231,23 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     """Locate mixed threshold equilibria w(x) = r_tilde on (x_min, x_max).
 
     Each unit interval is probed on a grid and every bracketed sign change
-    is refined by bisection. When w is identically r_tilde on an interval
-    (the two-rate continuum case, r_tilde * mu_low integer and at most T)
-    the whole open interval is reported instead of sampled points.
+    is refined by bisection. When every probe of an interval has
+    |w - r_tilde| <= TOL_ROOT (the two-rate continuum case, r_tilde * mu_low
+    an integer at most T), the whole interval is reported instead of points.
     """
     if not (0.0 < x_min < x_max):
         raise ValueError("need 0 < x_min < x_max")
     r = params.r_tilde
     points: list[float] = []
     intervals: list[tuple[float, float]] = []
-    cont_hi = None
-    if policy.threshold_form is not None:
-        T, mu_l, _ = policy.threshold_form
-        y = r * mu_l
-        if abs(y - round(y)) <= TOL_INT and 1 <= round(y) <= T:
-            cont_hi = int(round(y))
     f = lambda x: marginal_delay(x, params, policy) - r
     for k in range(max(math.floor(x_min), 0), math.ceil(x_max)):
         lo = max(float(k), x_min)
         hi = min(k + 1.0, x_max)
         if hi <= lo:
             continue
-        if cont_hi is not None and k + 1 == cont_hi and lo == k and hi == k + 1:
-            intervals.append((float(k), k + 1.0))
-            continue
         xs = [lo + _EDGE_PROBE] + [lo + (hi - lo) * i / probes for i in range(1, probes + 1)]
-        fs = [w - r for w in _marginals(xs, params, policy)]
+        fs = [w - r for w in marginal_delays(policy, xs, params).tolist()]
         if all(abs(v) <= TOL_ROOT for v in fs):
             intervals.append((lo, hi))
             continue
@@ -335,7 +275,7 @@ def sweep_pure(params: EconomicParams, policy: ServiceRatePolicy,
     """(n0, W(n0-1, n0), |W - r_tilde| <= tol) for each integer threshold."""
     n0s = range(max(n0_lo, 1), n0_hi + 1)
     return [(n0, w, abs(w - params.r_tilde) <= tol_eq)
-            for n0, w in zip(n0s, _pure_marginals(n0s, params, policy))]
+            for n0, w in zip(n0s, marginal_delays(policy, n0s, params).tolist())]
 
 
 def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
@@ -354,4 +294,4 @@ def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
             xs.append(x)
         i += 1
     return [(x, w, abs(w - params.r_tilde) <= tol_eq)
-            for x, w in zip(xs, _marginals(xs, params, policy))]
+            for x, w in zip(xs, marginal_delays(policy, xs, params).tolist())]

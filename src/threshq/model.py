@@ -75,10 +75,6 @@ class ServiceRatePolicy:
             return self.prefix[n - 1]
         return self.tail_rate
 
-    def is_constant_through(self, n: int) -> bool:
-        """True when states 1..n all share the same rate."""
-        return n <= 1 or all(self.rate_at(k) == self.rate_at(1) for k in range(2, n + 1))
-
 
 @dataclass(frozen=True)
 class EconomicParams:
@@ -137,25 +133,6 @@ class JoinStrategy:
         if n < 0:
             raise ValueError("state must be nonnegative")
         return self.probs[n] if n < len(self.probs) else 0.0
-
-
-@dataclass(frozen=True)
-class ThresholdStrategy:
-    """Threshold joining strategy encoded by a single real x >= 0.
-
-    Integer x is the pure threshold strategy with balk state x; non-integer
-    x randomizes at state floor(x) with probability x - floor(x).
-    """
-
-    x: float
-
-    def __post_init__(self):
-        if self.x < 0.0:
-            raise InstanceError("threshold x must be nonnegative")
-        object.__setattr__(self, "x", float(self.x))
-
-    def join_strategy(self) -> JoinStrategy:
-        return strategy_from_x(self.x)
 
 
 def strategy_from_x(x: float) -> JoinStrategy:

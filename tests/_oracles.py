@@ -4,11 +4,16 @@ These deliberately avoid the library's wavefront kernel: the dense oracle
 assembles the full first-step linear system and hands it to a generic
 solver; the loop oracle solves the triangular system one entry at a time;
 the below-threshold brute force checks the two-sided delay condition
-directly with the constant-low-rate closed forms.
+directly with the constant-low-rate closed forms; the best-response scan
+applies the definition of a pure equilibrium to dense solves.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from threshq.model import strategy_from_x
 
 
 def dense_delay_solve(policy, strategy, params):
@@ -40,6 +45,49 @@ def dense_delay_solve(policy, strategy, params):
     return {pair: sol[i] for pair, i in index.items()}
 
 
+class UnsnappedThreshold:
+    """The threshold-x strategy with its join probabilities clip(x - m, 0, 1)
+    exactly as computed; JoinStrategy would snap one within 1e-12 of 0 or 1.
+    Offers the two members the oracles read."""
+
+    def __init__(self, x: float):
+        self.x = x
+        self.balk_state = math.ceil(x)
+
+    def prob(self, m: int) -> float:
+        return min(max(self.x - m, 0.0), 1.0)
+
+
+def closed_form_below_T(policy, n):
+    """Delay (n+1)/mu_low for a joiner at state n when the balk state stays
+    at or below the service threshold, so only the low rate is ever used."""
+    if policy.threshold_form is None:
+        raise ValueError("closed form requires a two-rate threshold policy")
+    if n < 0:
+        raise ValueError("state must be nonnegative")
+    _, mu_low, _ = policy.threshold_form
+    return (n + 1) / mu_low
+
+
+def best_response_equilibria(params, policy, tol=1e-9):
+    """Pure threshold equilibria by definition, for n0 in 0..floor(r_tilde M).
+
+    With everyone joining below n0 and balking at n0, n0 is an equilibrium
+    when an arrival at every state n < n0 joins, r_tilde - W(n, n+1) >= -tol,
+    and one at n0 does not, r_tilde - W(n0) <= tol, where the joiner at the
+    balk state waits W(n0) = 1/mu_{n0+1} + W(n0-1, n0) (W(-1, 0) = 0).
+    """
+    r = params.r_tilde
+    hits = []
+    for n0 in range(math.floor(r * policy.max_rate + tol) + 1):
+        W = dense_delay_solve(policy, strategy_from_x(n0), params)
+        joins = all(r - W[(n, n + 1)] >= -tol for n in range(n0))
+        at_balk = 1.0 / policy.rate_at(n0 + 1) + (W[(n0 - 1, n0)] if n0 else 0.0)
+        if joins and r - at_balk <= tol:
+            hits.append(n0)
+    return hits
+
+
 def brute_force_below_threshold(params, policy, tol=1e-9):
     """Pure equilibria with balk state in {0..T} for a two-rate policy,
     checked candidate by candidate from the closed-form delays.
@@ -60,8 +108,6 @@ def brute_force_below_threshold(params, policy, tol=1e-9):
 
 def naor_set(r_tilde, mu):
     """Classical constant-rate equilibrium set {n >= 0 : r mu - 1 <= n <= r mu}."""
-    import math
-
     # the same 1e-9 integer tolerance the solver uses, so that a product
     # landing one ulp away from an integer is classified identically
     lo = max(math.ceil(r_tilde * mu - 1.0 - 1e-9), 0)

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from threshq import delay
 from threshq.cli import main
+from threshq.model import EconomicParams, ServiceRatePolicy
+
+from _oracles import UnsnappedThreshold, dense_delay_solve
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +130,36 @@ class TestEquilibriaCommand:
         assert text.splitlines()[0] == "n0,W_marginal,lower_bound,upper_bound,is_equilibrium"
 
 
+class TestWorkBudget:
+    """A command whose largest balk state has a full table over the cell
+    budget exits 2 with one line before any solve starts."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve started")
+        monkeypatch.setattr(delay, "_sweep", refuse)
+
+    def run_refused(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "over the limit" in err and err.count("\n") == 1
+
+    def test_equilibria_huge_r_tilde_m(self, tmp_path, capsys, no_solve):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": 3200.0, "wait_cost": 1.0,
+                                    "policy": {"prefix": [], "tail": 1.0}}))
+        self.run_refused(capsys, "equilibria", "--instance", str(path))
+
+    def test_mixed_range_huge_top(self, capsys, case_study_instance, no_solve):
+        self.run_refused(capsys, "equilibria", "--instance", str(case_study_instance),
+                         "--mixed-range", "24:4000")
+
+    def test_pure_sweep_huge_top(self, capsys, case_study_instance, no_solve):
+        self.run_refused(capsys, "sweep", "--instance", str(case_study_instance),
+                         "--kind", "pure_n0", "--range", "3170:3200")
+
+
 class TestSweepCommand:
     def test_pure_sweep(self, capsys, case_study_instance):
         code, out, _ = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
@@ -141,12 +175,33 @@ class TestSweepCommand:
         assert code == 0
         assert out.splitlines()[0] == "x,W,equilibrium_hit"
 
+    def test_mixed_sweep_near_integer_grid_points(self, capsys, case_study_instance):
+        # 1.05 + 179 * 0.05 = 10.000000000000002: a join probability of 2e-15
+        # at state 10, so the balk state is 11
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                 "--kind", "mixed_x", "--range", "1.05:12:0.05")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(x) for x, _, _ in rows] == [1.05 + i * 0.05 for i in range(220)]
+        w = {float(x): float(w) for x, w, _ in rows}
+        x = 10.000000000000002
+        params, policy = EconomicParams(3.0, 8.5, 1.0), ServiceRatePolicy.two_rate(23, 2.0, 5.0)
+        ref = dense_delay_solve(policy, UnsnappedThreshold(x), params)[(10, 11)]
+        assert w[x] == pytest.approx(ref, rel=1e-12)
+
     def test_byte_stable(self, capsys, case_study_instance):
         args = ("sweep", "--instance", str(case_study_instance),
                 "--kind", "pure_n0", "--range", "1:30")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("spec", ["1:inf", "nan:5"])
+    def test_non_finite_range_exit_2(self, capsys, case_study_instance, spec):
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                 "--kind", "pure_n0", "--range", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
     def test_bad_range_exit_2(self, capsys, case_study_instance):
         code, _, _ = run_cli(capsys, "sweep", "--instance", str(case_study_instance),

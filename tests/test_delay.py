@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from threshq import delay
-from threshq.delay import (
-    arrival_delay,
-    arrival_delays,
-    closed_form_below_T,
-    marginal_delays,
-    solve_delay_table,
-)
+from threshq.delay import arrival_delay, arrival_delays, marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
-from _oracles import dense_delay_solve, loop_delay_solve
+from _oracles import UnsnappedThreshold, closed_form_below_T, dense_delay_solve, loop_delay_solve
 from conftest import random_general_strategy, random_params, random_policy, random_threshold_strategy
 
 
@@ -166,18 +160,24 @@ class TestWavefrontKernel:
     def test_batched_marginals_equal_single_solves(self):
         rng = np.random.default_rng(32)
         policy, params = random_policy(rng), random_params(rng)
-        strategies = [strategy_from_x(0)]
+        xs = [0.0]
         for n0 in range(1, 81):
-            strategies += list(self.strategies(rng, n0)) * 2
-        order = rng.permutation(len(strategies))
-        strategies = [strategies[i] for i in order]
+            xs += [float(n0), *(n0 - 1 + rng.uniform(0.05, 0.95, 3)),
+                   np.nextafter(n0, 0.0), np.nextafter(n0, np.inf)]
+        # k +- 1e-15 is a join probability within 1e-15 of 0 or 1, used as it is
+        xs += [k + d for k in range(1, 9) for d in (-1e-15, 1e-15)]
+        assert len(xs) - len(set(xs)) < 10 and all(x != round(x) for x in xs[-16:])
+        xs = [float(xs[i]) for i in rng.permutation(len(xs))]
         # more cells than one chunk holds, so the batch is split
-        assert len(strategies) * (80 + 2) > delay._CHUNK_CELLS
-        got = marginal_delays(policy, strategies, params)
-        for strategy, w in zip(strategies, got):
-            n0 = strategy.balk_state
-            ref = solve_delay_table(policy, strategy, params).w(n0 - 1, n0) if n0 else 0.0
-            assert w == ref, strategy
+        assert len(xs) * (81 + 2) > delay._CHUNK_CELLS
+        got = marginal_delays(policy, xs, params)
+        for x, w in zip(xs, got):
+            n0 = math.ceil(x)
+            ref = loop_delay_solve(policy, UnsnappedThreshold(x), params)[n0 - 1, n0] if n0 else 0.0
+            assert w == ref, x
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                marginal_delays(policy, [1.0, bad], params)
 
     def test_empty_batch(self):
         out = marginal_delays(ServiceRatePolicy.constant(1.0), [], EconomicParams(1.0, 1.0, 1.0))
@@ -251,6 +251,8 @@ class TestArrivalDelay:
 
 
 class TestClosedFormBelowT:
+    """The test oracle's below-threshold closed form, against the solver."""
+
     def test_values(self):
         policy = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
         assert closed_form_below_T(policy, 15) == 8.0

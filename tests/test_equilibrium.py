@@ -21,7 +21,13 @@ from threshq.equilibrium import (
 from threshq.delay import solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
-from _oracles import brute_force_below_threshold, dense_delay_solve, naor_set
+from _oracles import (
+    best_response_equilibria,
+    brute_force_below_threshold,
+    dense_delay_solve,
+    naor_set,
+)
+from conftest import random_policy
 
 
 def params_R(R, lam=3.0, C=1.0):
@@ -63,10 +69,11 @@ class TestPureCandidateRange:
         assert L == pytest.approx(25.6) and U == 65.0
 
     def test_general_bounds(self):
+        # the scan bounds r_tilde mu_1 - 1 <= n0 <= r_tilde M
         pol = ServiceRatePolicy((1.0,), 2.0)
         p = params_R(3.0, lam=1.0)
         low, high = pure_candidate_range(p, pol)
-        assert low == math.ceil((3.0 - 0.5) * 1.0) and high == 6
+        assert low == math.ceil(3.0 * 1.0 - 1.0) and high == 6
 
     def test_zero_reward(self):
         pol = ServiceRatePolicy.constant(2.0)
@@ -134,7 +141,11 @@ class TestThresholdPolicyBelowT:
             mu_h = mu_l * float(rng.uniform(1.05, 4.0))
             pol = ServiceRatePolicy.two_rate(T, mu_l, mu_h)
             p = EconomicParams(1.0, float(rng.uniform(0.0, (T + 3) / mu_l)), 1.0)
-            assert threshold_policy_below_T(p, pol) == brute_force_below_threshold(p, pol)
+            closed = threshold_policy_below_T(p, pol)
+            assert closed == brute_force_below_threshold(p, pol)
+            # the one scan agrees with the closed form below the service threshold
+            pure = enumerate_pure_equilibria(p, pol).pure_equilibria
+            assert [n0 for n0 in pure if n0 <= T] == closed
 
 
 class TestEnumeratePure:
@@ -175,6 +186,22 @@ class TestEnumeratePure:
             for n in range(n0):
                 assert best_response(n, strat, p, pol) in ("join", "indifferent")
             assert best_response(n0, strat, p, pol) in ("balk", "indifferent")
+
+    def test_matches_best_response_randomized(self):
+        # general and two-rate policies in turn, against the definition
+        rng = np.random.default_rng(8080)
+        for i in range(400):
+            if i % 2 == 0:
+                pol = random_policy(rng)
+            else:
+                mu_l = float(rng.uniform(0.5, 2.5))
+                pol = ServiceRatePolicy.two_rate(int(rng.integers(1, 8)), mu_l,
+                                                 mu_l * float(rng.uniform(1.1, 4.0)))
+            # r_tilde M <= 15 keeps the dense solves small
+            p = EconomicParams(float(rng.uniform(0.3, 4.0)),
+                               float(rng.uniform(0.0, 15.0 / pol.max_rate)), 1.0)
+            assert enumerate_pure_equilibria(p, pol).pure_equilibria == \
+                best_response_equilibria(p, pol), (pol, p)
 
     def test_range_soundness(self):
         rng = np.random.default_rng(555)
