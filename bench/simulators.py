@@ -1,0 +1,44 @@
+"""Layer timings of the two Monte Carlo simulators, printed as one JSON object.
+
+    PYTHONPATH=src python3 bench/simulators.py
+
+Uses only API that predates the lock-step coupling, so the same command
+times an older checkout too (point PYTHONPATH at its src/). Each value is
+the median over 5 repeats of the mean seconds per call (see
+delay_kernel.seconds).
+- run_coupling.n0_5: constant rate 2, lambda = 1.5, pure threshold 5, n = 2,
+  10^4 replications.
+- run_coupling.case_study_n0_24: the case study (T = 23, rates 2 and 5,
+  lambda = 3) under the pure threshold 24, n = 12, 10^4 replications.
+- simulate_sojourn.case_study_n0_26: the case study under x = 25.5 (balk
+  state 26), n = 12, 10^5 replications.
+"""
+from __future__ import annotations
+
+import json
+import platform
+
+import numpy as np
+
+from delay_kernel import CASE, seconds
+from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
+from threshq.sim import SimConfig, run_coupling, simulate_sojourn
+
+
+def main() -> dict:
+    case = EconomicParams(3.0, 8.5, 1.0)
+    small = SimConfig(1, 10_000, EconomicParams(1.5, 5.0, 1.0),
+                      ServiceRatePolicy.constant(2.0), strategy_from_x(5.0))
+    coupled = SimConfig(1, 10_000, case, CASE, strategy_from_x(24.0))
+    sojourn = SimConfig(1, 100_000, case, CASE, strategy_from_x(25.5))
+    rows = {
+        "run_coupling.n0_5.s": seconds(lambda: run_coupling(small, 2, 5)),
+        "run_coupling.case_study_n0_24.s": seconds(lambda: run_coupling(coupled, 12, 24)),
+        "simulate_sojourn.case_study_n0_26.s": seconds(lambda: simulate_sojourn(sojourn, 12)),
+    }
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(), "seconds": rows}
+
+
+if __name__ == "__main__":
+    print(json.dumps(main(), indent=2))

@@ -137,6 +137,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     params, policy = load_instance(args.instance)
+    _check_work(args.x, "x")
     strategy = strategy_from_x(args.x)
     config = sim_mod.SimConfig(args.seed, args.reps, params, policy, strategy)
     est = sim_mod.simulate_sojourn(config, args.n)
@@ -157,6 +158,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify_coupling(args) -> int:
     params, policy = load_instance(args.instance)
     x = args.x if args.x is not None else float(args.n0)
+    # ceil(x) is the balk state, and so the width of the coupling's queues
+    _check_work(x, "x")
     strategy = strategy_from_x(x)
     if strategy.balk_state != args.n0:
         raise InstanceError("x inconsistent with n0")

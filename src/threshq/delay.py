@@ -109,7 +109,8 @@ def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
 
 def _rates(policy: ServiceRatePolicy, n0: int) -> np.ndarray:
     """Index m holds mu_m for 1 <= m <= n0; index 0, which no entry reads, holds mu_1."""
-    return np.array([policy.rate_at(max(m, 1)) for m in range(n0 + 1)])
+    mu = policy.rates(max(n0, 1))
+    return np.concatenate((mu[:1], mu[:n0]))
 
 
 def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,

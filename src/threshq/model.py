@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PROB_TOL = 1e-12
 
 
@@ -74,6 +76,11 @@ class ServiceRatePolicy:
         if n <= len(self.prefix):
             return self.prefix[n - 1]
         return self.tail_rate
+
+    def rates(self, n: int) -> np.ndarray:
+        """The rates mu_1..mu_n, with 1..n present: the prefix, then the tail rate repeated."""
+        head = self.prefix[:n]
+        return np.concatenate((head, np.full(n - len(head), self.tail_rate)))
 
 
 @dataclass(frozen=True)

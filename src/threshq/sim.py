@@ -1,8 +1,11 @@
 """Monte Carlo validation: sojourn-time estimation and the two-system coupling.
 
-Replications use counter-based (Philox) generators keyed by (seed,
-replication, stream), so identical configs give bit-identical output and
-the two coupled systems consume identical draws by construction.
+Each call draws from one counter-based (Philox) generator keyed by (seed,
+stream), so identical configs give bit-identical output. Both simulators
+advance all live replications in lock-step, one vectorized event per
+replication per step, and drop a replication once it is finished. In the
+coupling, the two systems read the same draw for each arrival, join coin
+and service requirement.
 """
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ import numpy as np
 from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
 
 _STREAM_SOJOURN = 0
-_STREAM_ARRIVALS = 1
-_STREAM_SERVICE = 2
-_STREAM_COINS = 3
+_STREAM_COUPLING = 1
+# replications x (n0 + 1) per coupling block; larger runs are split into
+# consecutive blocks, so a coupling's state stays a few MB whatever its size
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,8 @@ class CouplingOutcome:
         return float(max(np.max(self.t_a - self.t_b), 0.0))
 
 
-def _generator(seed: int, replication: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                     (replication << 2) | stream]))
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
 
 
 def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
@@ -90,9 +93,9 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
         raise ValueError(f"arrival state {n} outside [0, {n0}]")
     reps = config.replications
     lam = config.params.arrival_rate
-    rng = _generator(config.seed, 0, _STREAM_SOJOURN)
-    pvec = np.array([strat.prob(m) for m in range(n0 + 2)])
-    muvec = np.array([config.policy.rate_at(m) for m in range(1, n0 + 2)])
+    rng = _generator(config.seed, _STREAM_SOJOURN)
+    pvec = np.append(strat.probs, 0.0)
+    muvec = config.policy.rates(n0 + 1)
     ahead = np.full(reps, n, dtype=np.int64)
     total = np.full(reps, n + 1, dtype=np.int64)
     sojourn = np.zeros(reps)
@@ -116,30 +119,6 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     return SojournEstimate(mean, half, reps)
 
 
-class _Stream:
-    """Scalar draws from a batched numpy generator."""
-
-    __slots__ = ("_rng", "_kind", "_scale", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator, kind: str, scale: float = 1.0):
-        self._rng = rng
-        self._kind = kind
-        self._scale = scale
-        self._buf: list[float] = []
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i >= len(self._buf):
-            if self._kind == "exp":
-                self._buf = self._rng.exponential(self._scale, 256).tolist()
-            else:
-                self._buf = self._rng.random(256).tolist()
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
-
-
 def run_coupling(config: SimConfig, n: int, n0: int,
                  log_first_replication: bool = False) -> CouplingOutcome:
     """Couple system A (n initial customers, labels 1..n) with system B
@@ -149,91 +128,86 @@ def run_coupling(config: SimConfig, n: int, n0: int,
     Both systems share one arrival stream, one unit-mean exponential service
     requirement per customer, and one join-coin per future arrival; each
     requirement depletes at the state-dependent rate, so service durations
-    follow the path. Simultaneous events are ordered departures-before-
-    arrivals and A-before-B.
+    follow the path. Simultaneous events are ordered departure from A, then
+    from B, then the arrival. A system stops once its label n has left.
+    Replications advance in lock-step, in consecutive blocks of at most
+    _BLOCK_CELLS // (n0 + 1) drawn from one generator.
     """
     strat = config.strategy
     if strat.balk_state != n0:
         raise ValueError("strategy balk state does not match n0")
     if not (1 <= n <= n0 - 1):
         raise ValueError("need 1 <= n <= n0 - 1")
-    lam = config.params.arrival_rate
-    policy = config.policy
-    probs = [strat.prob(k) for k in range(n0 + 1)]
-    mu = [policy.rate_at(k) for k in range(1, n0 + 2)]  # mu[k-1] = rate with k present
+    rng = _generator(config.seed, _STREAM_COUPLING)
+    probs = np.array(strat.probs)  # probs[k] with k present, k = 0..n0
+    mu = config.policy.rates(n0)  # mu[k - 1] with k present
     reps = config.replications
-    t_a = np.empty((reps, n))
-    t_b = np.empty((reps, n))
+    dep = np.empty((reps, 2, n + 1))
     log: list[dict] = []
+    size = max(1, _BLOCK_CELLS // (n0 + 1))
+    for start in range(0, reps, size):
+        _couple_block(rng, config.params.arrival_rate, probs, mu, n,
+                      np.arange(start, min(start + size, reps)), dep,
+                      log if log_first_replication else None)
+    return CouplingOutcome(n, n0, dep[:, 0, 1:].copy(), dep[:, 1, 1:].copy(), log)
 
-    for rep in range(reps):
-        arr = _Stream(_generator(config.seed, rep, _STREAM_ARRIVALS), "exp", 1.0 / lam)
-        svc = _Stream(_generator(config.seed, rep, _STREAM_SERVICE), "exp")
-        coin = _Stream(_generator(config.seed, rep, _STREAM_COINS), "u")
-        record = log_first_replication and rep == 0
 
-        s_init = [svc.next() for _ in range(n + 1)]  # S_0..S_n
-        # FCFS queues of (label, remaining requirement); head is in service
-        qa = [[j, s_init[j]] for j in range(1, n + 1)]
-        qb = [[j, s_init[j]] for j in range(0, n + 1)]
-        dep_a = [0.0] * (n + 1)
-        dep_b = [0.0] * (n + 1)
-        done_a = done_b = False
-        t = 0.0
-        next_arr = arr.next()
-        next_label = n + 1
-        inf = math.inf
+def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,
+                  n: int, rows: np.ndarray, dep: np.ndarray, log: list[dict] | None) -> None:
+    """Run replications ``rows`` until label n has left both systems; write
+    dep[r, s, j], the departure time of label j from system s (A = 0, B = 1).
 
-        while not (done_a and done_b):
-            na, nb = len(qa), len(qb)
-            ta = t + qa[0][1] / mu[na - 1] if na else inf
-            tb = t + qb[0][1] / mu[nb - 1] if nb else inf
-            # priority at ties: departure from A, then B, then the arrival
-            if ta <= tb and ta <= next_arr:
-                ev, tnext = "dep_a", ta
-            elif tb <= next_arr:
-                ev, tnext = "dep_b", tb
+    Labels follow from FCFS order: the k-th departure from system s is label
+    k - s. Each system keeps a ring buffer of remaining requirements, width
+    n0 since at most n0 are ever present, with its head at slot
+    (departures mod n0). Finished replications are dropped after each step.
+    """
+    n0 = len(mu)
+    k = len(rows)
+    goal = np.array([n, n + 1])  # departures after which label n has left
+    rem = np.zeros((k, 2, n0))
+    req = rng.exponential(1.0, (k, n + 1))  # S_0..S_n; A holds S_1..S_n
+    rem[:, 0, :n] = req[:, 1:]
+    rem[:, 1, :n + 1] = req
+    d = np.zeros((k, 2), dtype=np.int64)
+    size = np.tile(goal, (k, 1))  # A starts with n present, B with n + 1
+    t = np.zeros(k)
+    nxt = rng.exponential(1.0 / lam, k)
+    systems = np.arange(2)
+    while len(rows):
+        live = np.arange(len(rows))
+        head = (live[:, None], systems, d % n0)
+        done = d == goal
+        rate = mu[size - 1]  # a system not done holds label n, so size >= 1
+        left = rem[head]
+        times = np.column_stack((np.where(done, np.inf, t[:, None] + left / rate), nxt))
+        ev = times.argmin(axis=1)  # the first minimum: A, then B, then the arrival
+        now = times[live, ev]
+        rem[head] = left - rate * (now - t)[:, None]
+        t = now
+        for s in (0, 1):
+            i = np.nonzero(ev == s)[0]
+            d[i, s] += 1
+            size[i, s] -= 1
+            dep[rows[i], s, d[i, s] - s] = t[i]
+        i = np.nonzero(ev == 2)[0]
+        coin = rng.random(len(i))
+        req = rng.exponential(1.0, len(i))
+        nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
+        join = ~done[i] & (coin[:, None] < probs[size[i]])
+        j, s = np.nonzero(join)
+        r = i[j]
+        rem[r, s, (d[r, s] + size[r, s]) % n0] = req[j]
+        size[r, s] += 1
+        if log is not None and rows[0] == 0:
+            if ev[0] < 2:
+                log.append({"t": float(t[0]), "system": "AB"[ev[0]], "kind": "departure",
+                            "n_after": int(size[0, ev[0]])})
             else:
-                ev, tnext = "arr", next_arr
-            dt = tnext - t
-            if na:
-                qa[0][1] -= mu[na - 1] * dt
-            if nb:
-                qb[0][1] -= mu[nb - 1] * dt
-            t = tnext
-            if ev == "dep_a":
-                label = qa.pop(0)[0]
-                if 1 <= label <= n:
-                    dep_a[label] = t
-                    if label == n:
-                        done_a = True
-                if record:
-                    log.append({"t": t, "system": "A", "kind": "departure", "n_after": len(qa)})
-            elif ev == "dep_b":
-                label = qb.pop(0)[0]
-                if 1 <= label <= n:
-                    dep_b[label] = t
-                    if label == n:
-                        done_b = True
-                if record:
-                    log.append({"t": t, "system": "B", "kind": "departure", "n_after": len(qb)})
-            else:
-                u = coin.next()
-                s = svc.next()
-                join_a = (not done_a) and u < probs[len(qa)]
-                join_b = (not done_b) and u < probs[len(qb)]
-                if join_a:
-                    qa.append([next_label, s])
-                if join_b:
-                    qb.append([next_label, s])
-                if record:
-                    log.append({"t": t, "system": "A", "kind": "join" if join_a else "balk",
-                                "n_after": len(qa)})
-                    log.append({"t": t, "system": "B", "kind": "join" if join_b else "balk",
-                                "n_after": len(qb)})
-                next_label += 1
-                next_arr = t + arr.next()
-        t_a[rep] = dep_a[1:]
-        t_b[rep] = dep_b[1:]
-
-    return CouplingOutcome(n, n0, t_a, t_b, log)
+                for s in (0, 1):
+                    log.append({"t": float(t[0]), "system": "AB"[s],
+                                "kind": "join" if join[0, s] else "balk",
+                                "n_after": int(size[0, s])})
+        keep = np.any(d != goal, axis=1)
+        if not keep.all():
+            rows, rem, d, size, t, nxt = (a[keep] for a in (rows, rem, d, size, t, nxt))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from threshq import delay
+from threshq import cli, delay, sim
 from threshq.cli import main
 from threshq.model import EconomicParams, ServiceRatePolicy
 
@@ -158,6 +158,32 @@ class TestWorkBudget:
     def test_pure_sweep_huge_top(self, capsys, case_study_instance, no_solve):
         self.run_refused(capsys, "sweep", "--instance", str(case_study_instance),
                          "--kind", "pure_n0", "--range", "3170:3200")
+
+
+class TestSimulationInputBoundary:
+    """simulate and verify-coupling check their balk state, ceil(x) or n0,
+    against the cell budget and exit 2 with one line before they build a
+    strategy or start a simulation."""
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a strategy or a simulation was built")
+        monkeypatch.setattr(cli, "strategy_from_x", refuse)
+        monkeypatch.setattr(sim, "simulate_sojourn", refuse)
+        monkeypatch.setattr(sim, "run_coupling", refuse)
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("simulate", ["--n", "1", "--x", "inf"], "finite"),
+        ("simulate", ["--n", "1", "--x", "2e7"], "over the limit"),
+        ("verify-coupling", ["--n", "1", "--n0", "5", "--x", "inf"], "finite"),
+        ("verify-coupling", ["--n", "1", "--n0", "20000000"], "over the limit"),
+    ])
+    def test_exit_2_before_simulating(self, capsys, case_study_instance, no_simulation,
+                                      command, args, message):
+        code, out, err = run_cli(capsys, command, "--instance", str(case_study_instance), *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 class TestSweepCommand:

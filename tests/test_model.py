@@ -37,6 +37,18 @@ class TestServiceRatePolicy:
         assert rates == sorted(rates)
         assert all(r == 3.0 for r in rates[3:])
 
+    @pytest.mark.parametrize("pol", [ServiceRatePolicy((0.5, 1.0, 1.5), 3.0),
+                                     ServiceRatePolicy.two_rate(4, 2.0, 5.0),
+                                     ServiceRatePolicy.constant(2.0)])
+    def test_rates_vector_equals_rate_at(self, pol):
+        # n below, at and above the prefix length
+        for n in (0, 1, 2, 3, 4, 5, 9):
+            rates = pol.rates(n)
+            assert rates.dtype == float and rates.shape == (n,)
+            assert rates.tolist() == [pol.rate_at(m) for m in range(1, n + 1)]
+        with pytest.raises(ValueError):
+            pol.rates(-1)
+
     def test_decreasing_prefix_rejected(self):
         with pytest.raises(InstanceError):
             ServiceRatePolicy((2.0, 1.0), 3.0)

@@ -3,6 +3,7 @@ import pytest
 
 from threshq.delay import arrival_delay, solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
+from threshq import sim
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
 
@@ -84,6 +85,37 @@ class TestRunCoupling:
         expected = table.w(n, n + 1) - table.w(n - 1, n)
         se = gaps.std(ddof=1) / np.sqrt(len(gaps))
         assert abs(gaps.mean() - expected) <= 3 * se
+
+    @pytest.mark.parametrize("x, n", [(6.0, 3), (4.6, 2)])
+    def test_each_system_has_its_marginal_law(self, x, n):
+        # label n leaves A after W(n-1, n) on average, and B after W(n, n+1)
+        policy = ServiceRatePolicy.two_rate(3, 1.0, 3.0)
+        params = EconomicParams(2.0, 5.0, 1.0)
+        strategy = strategy_from_x(x)
+        out = run_coupling(SimConfig(31, 8000, params, policy, strategy), n, strategy.balk_state)
+        table = solve_delay_table(policy, strategy, params)
+        for times, w in ((out.t_a[:, -1], table.w(n - 1, n)), (out.t_b[:, -1], table.w(n, n + 1))):
+            se = times.std(ddof=1) / np.sqrt(len(times))
+            assert abs(times.mean() - w) <= 3 * se
+
+    def test_event_log_matches_departure_times(self):
+        # the log follows replication 0 while the others advance with it
+        n = 3
+        out = run_coupling(config(seed=4, reps=200, x=5.0), n, 5, log_first_replication=True)
+        deps = {s: [ev["t"] for ev in out.event_log
+                    if ev["system"] == s and ev["kind"] == "departure"] for s in "AB"}
+        assert deps["A"][:n] == out.t_a[0].tolist()
+        assert deps["B"][1:n + 1] == out.t_b[0].tolist()
+
+    def test_blocks_deterministic_without_violations(self, monkeypatch):
+        # 97 replications per block: 1000 replications run in 11 blocks
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 97 * 6)
+        cfg = config(seed=12, reps=1000, x=4.5)
+        a = run_coupling(cfg, 2, 5, log_first_replication=True)
+        b = run_coupling(cfg, 2, 5, log_first_replication=True)
+        assert np.array_equal(a.t_a, b.t_a) and np.array_equal(a.t_b, b.t_b)
+        assert a.event_log == b.event_log
+        assert a.violation_count == 0
 
     def test_deterministic_event_log(self):
         cfg = config(seed=8, reps=1, x=3.0)
