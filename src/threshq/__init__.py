@@ -5,23 +5,18 @@ from .model import (
     InstanceError,
     JoinStrategy,
     ServiceRatePolicy,
-    balk_upper_bound,
     load_instance,
     parse_instance,
     strategy_from_x,
 )
-from .delay import DelayTable, arrival_delay, arrival_delays, solve_delay_table
+from .delay import DelayTable, arrival_delay, solve_delay_table
 from .equilibrium import (
     CandidateDiagnostic,
     EquilibriumReport,
-    best_response,
     enumerate_pure_equilibria,
     find_mixed_equilibria,
-    is_pure_equilibrium,
     marginal_delay,
-    net_benefit,
     pure_candidate_range,
-    pure_marginal_delay,
     sweep_mixed,
     sweep_pure,
     threshold_policy_below_T,
@@ -33,24 +28,18 @@ __all__ = [
     "InstanceError",
     "JoinStrategy",
     "ServiceRatePolicy",
-    "balk_upper_bound",
     "load_instance",
     "parse_instance",
     "strategy_from_x",
     "DelayTable",
     "arrival_delay",
-    "arrival_delays",
     "solve_delay_table",
     "CandidateDiagnostic",
     "EquilibriumReport",
-    "best_response",
     "enumerate_pure_equilibria",
     "find_mixed_equilibria",
-    "is_pure_equilibrium",
     "marginal_delay",
-    "net_benefit",
     "pure_candidate_range",
-    "pure_marginal_delay",
     "sweep_mixed",
     "sweep_pure",
     "threshold_policy_below_T",

@@ -13,7 +13,7 @@ import sys
 from . import delay as delay_mod
 from . import equilibrium as eq_mod
 from . import sim as sim_mod
-from .model import InstanceError, load_instance, strategy_from_x
+from .model import EconomicParams, InstanceError, _finite, load_instance, strategy_from_x
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -81,34 +81,33 @@ def _set_str(values) -> str:
 
 def cmd_equilibria(args) -> int:
     params, policy = load_instance(args.instance)
-    tol = args.tol_eq if args.tol_eq is not None else eq_mod.TOL_EQ
     if args.table1:
-        rewards = [float(r) for r in args.table1.split(",") if r.strip()]
+        rewards = [_finite(r, "--table1 reward") for r in args.table1.split(",") if r.strip()]
         lines = ["R,below_T,above_T,L,U"]
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
-        # the scan of reward R ends at floor(R / C * M + tol)
-        _check_work(max(rewards, default=0.0) / params.wait_cost * policy.max_rate + tol,
-                    "r_tilde * M")
+        # the scan of reward R ends at floor(R / C * M + TOL_EQ)
+        top = max(rewards, default=0.0) / params.wait_cost * policy.max_rate
+        _check_work(top + eq_mod.TOL_EQ, "r_tilde * M")
         T = policy.threshold_form[0]
-        from .model import EconomicParams
-
         for R in rewards:
             p = EconomicParams(params.arrival_rate, R, params.wait_cost)
-            rep = eq_mod.enumerate_pure_equilibria(p, policy, tol)
+            rep = eq_mod.enumerate_pure_equilibria(p, policy)
             below = [k for k in rep.pure_equilibria if k <= T]
             above = [k for k in rep.pure_equilibria if k > T]
             L, U = rep.candidate_range
             lines.append(f"{R:g},{_set_str(below)},{_set_str(above)},{L:g},{U:g}")
         _write(args.out, "table1.csv", "\n".join(lines) + "\n")
         return EXIT_OK
-    mixed = _parse_range(args.mixed_range)[:2] if args.mixed_range else None
-    top = params.r_tilde * policy.max_rate + tol
+    mixed = _parse_range(args.mixed_range) if args.mixed_range else None
+    if mixed and mixed[2] is not None:
+        raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
+    top = params.r_tilde * policy.max_rate + eq_mod.TOL_EQ
     _check_work(max(top, mixed[1]) if mixed else top, "r_tilde * M")
-    report = eq_mod.enumerate_pure_equilibria(params, policy, tol)
+    report = eq_mod.enumerate_pure_equilibria(params, policy)
     if mixed:
         report.mixed_points, report.mixed_intervals = eq_mod.find_mixed_equilibria(
-            params, policy, *mixed)
+            params, policy, *mixed[:2])
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     if args.out is not None:
         _write(args.out, "diagnostics.csv", report.diagnostics_csv())
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--instance", required=True)
     e.add_argument("--table1", default=None, help="comma-separated reward list")
     e.add_argument("--mixed-range", default=None, help="a:b search range for mixed equilibria")
-    e.add_argument("--tol-eq", type=float, default=None)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_equilibria)
 

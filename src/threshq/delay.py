@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
+from .model import EconomicParams, JoinStrategy, ServiceRatePolicy, threshold_probs
 
 # largest full table (rows x columns) that solve_delay_table allocates: about
 # 80 MB, n0 up to 3161
@@ -132,11 +132,10 @@ def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
 def marginal_delays(policy: ServiceRatePolicy, xs, params: EconomicParams) -> np.ndarray:
     """W(n0-1, n0) under each threshold-x strategy, n0 = ceil(x) (0.0 where x = 0).
 
-    Threshold x joins with probability clip(x - m, 0, 1) at state m: always
-    below floor(x), with probability x - floor(x) at floor(x). Probabilities
-    are used as they are, however close to 0 or 1. Equal bit for bit to a
-    one-strategy solve of the same probabilities. No table is formed: the
-    batch is solved in chunks of at most _CHUNK_CELLS padded cells.
+    The join probabilities are model.threshold_probs, the same as
+    strategy_from_x gives. Equal bit for bit to a one-strategy solve of the
+    same probabilities. No table is formed: the batch is solved in chunks of
+    at most _CHUNK_CELLS padded cells.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & np.isfinite(xs)):
@@ -150,8 +149,7 @@ def marginal_delays(policy: ServiceRatePolicy, xs, params: EconomicParams) -> np
     for start in range(0, len(order), size):
         rows = order[start:start + size]
         N = int(n0s[rows[0]])
-        probs = np.clip(xs[rows] - np.arange(N + 1.0)[:, None], 0.0, 1.0)
-        out[rows] = _sweep(params.arrival_rate, mu[:N + 1], probs)
+        out[rows] = _sweep(params.arrival_rate, mu[:N + 1], threshold_probs(xs[rows], N))
     return out
 
 
@@ -169,9 +167,4 @@ def arrival_delay(table: DelayTable, policy: ServiceRatePolicy, n: int) -> float
         return table.w(n, n + 1)
     tail = table.w(n0 - 1, n0) if n0 >= 1 else 0.0
     return 1.0 / policy.rate_at(n0 + 1) + tail
-
-
-def arrival_delays(table: DelayTable, policy: ServiceRatePolicy) -> list[float]:
-    """W(n) for every n = 0..n0."""
-    return [arrival_delay(table, policy, n) for n in range(table.n0 + 1)]
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .delay import arrival_delay, marginal_delays, solve_delay_table
-from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
+import numpy as np
+
+from .delay import MAX_TABLE_CELLS, marginal_delays
+from .model import EconomicParams, ServiceRatePolicy
 
 TOL_EQ = 1e-9       # equality / indifference tolerance, time units
 TOL_INT = 1e-9      # integrality test for r_tilde * mu_low
@@ -47,7 +49,7 @@ class EquilibriumReport:
     """Classified equilibria plus per-candidate diagnostics.
 
     ``mixed_intervals`` holds continuum cases where every interior x is an
-    equilibrium. Classification scope is always the recurrent class.
+    equilibrium. Equilibria are classified on the recurrent class.
     """
 
     pure_equilibria: list[int]
@@ -55,7 +57,6 @@ class EquilibriumReport:
     mixed_intervals: list[tuple[float, float]] = field(default_factory=list)
     candidate_range: tuple[float, float] = (0.0, 0.0)
     diagnostics: list[CandidateDiagnostic] = field(default_factory=list)
-    classification_scope: str = "recurrent-class"
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,7 +74,7 @@ class EquilibriumReport:
                 }
                 for d in self.diagnostics
             ],
-            "scope": self.classification_scope,
+            "scope": "recurrent-class",
         }
 
     def diagnostics_csv(self) -> str:
@@ -86,38 +87,13 @@ class EquilibriumReport:
         return "\n".join(lines) + "\n"
 
 
-def pure_marginal_delay(n0: int, params: EconomicParams, policy: ServiceRatePolicy) -> float:
-    """W(n0-1, n0) under the pure threshold strategy n0 (0.0 for n0 = 0)."""
-    return float(marginal_delays(policy, [n0], params)[0])
-
-
-def net_benefit(q_n: float, n: int, strategy: JoinStrategy,
-                params: EconomicParams, policy: ServiceRatePolicy) -> float:
-    """Expected net benefit C * q_n * (r_tilde - W(n)) of joining with
-    probability q_n at state n when everyone else follows ``strategy``."""
-    table = solve_delay_table(policy, strategy, params)
-    return params.wait_cost * q_n * (params.r_tilde - arrival_delay(table, policy, n))
-
-
-def best_response(n: int, strategy: JoinStrategy, params: EconomicParams,
-                  policy: ServiceRatePolicy, tol: float = TOL_EQ) -> str:
-    """Best response at state n: 'join', 'balk', or 'indifferent'."""
-    table = solve_delay_table(policy, strategy, params)
-    gap = params.r_tilde - arrival_delay(table, policy, n)
-    if gap > tol:
-        return "join"
-    if gap < -tol:
-        return "balk"
-    return "indifferent"
-
-
-def _scan(params: EconomicParams, policy: ServiceRatePolicy, tol_eq: float) -> range:
+def _scan(params: EconomicParams, policy: ServiceRatePolicy) -> range:
     """Every n0 the delay bounds leave open: W(n0-1, n0) <= n0/mu_1 and
     1/mu_{n0+1} <= 1/mu_1 give n0 >= r_tilde mu_1 - 1, and W(n0-1, n0) >= n0/M
     gives n0 <= r_tilde M."""
     r = params.r_tilde
-    return range(max(math.ceil(r * policy.rate_at(1) - 1.0 - tol_eq), 0),
-                 math.floor(r * policy.max_rate + tol_eq) + 1)
+    return range(max(math.ceil(r * policy.rate_at(1) - 1.0 - TOL_EQ), 0),
+                 math.floor(r * policy.max_rate + TOL_EQ) + 1)
 
 
 def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> tuple[float, float]:
@@ -135,65 +111,58 @@ def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> t
         L = max((r - 1.0 / mu_h) * mu_l, T + 1.0)
         U = max(r * mu_h, T + 1.0)
         return (L, U)
-    scan = _scan(params, policy, TOL_EQ)
+    scan = _scan(params, policy)
     return (float(scan.start), float(scan.stop - 1))
 
 
-def is_pure_equilibrium(n0: int, params: EconomicParams,
-                        policy: ServiceRatePolicy,
-                        tol_eq: float = TOL_EQ) -> CandidateDiagnostic:
-    """Test one pure threshold candidate; boundaries are inclusive within tol.
+def _diagnose(n0: int, w: float, params: EconomicParams,
+              policy: ServiceRatePolicy) -> CandidateDiagnostic:
+    """The two-sided test of pure threshold n0 given w = W(n0-1, n0); both
+    bounds are inclusive within TOL_EQ.
 
     n0 = 0 (always balk) is an equilibrium iff r_tilde <= 1/mu_1, which is
     the same two-sided condition with the convention W(-1, 0) = 0.
     """
-    return _diagnose(n0, pure_marginal_delay(n0, params, policy), params, policy, tol_eq)
-
-
-def _diagnose(n0: int, w: float, params: EconomicParams, policy: ServiceRatePolicy,
-              tol_eq: float) -> CandidateDiagnostic:
-    """The test of ``is_pure_equilibrium`` given the marginal delay w = W(n0-1, n0)."""
     r = params.r_tilde
     lower = r - 1.0 / policy.rate_at(n0 + 1)
-    return CandidateDiagnostic(n0, w, lower, r, lower - tol_eq <= w <= r + tol_eq)
+    return CandidateDiagnostic(n0, w, lower, r, lower - TOL_EQ <= w <= r + TOL_EQ)
 
 
-def threshold_policy_below_T(params: EconomicParams, policy: ServiceRatePolicy,
-                             tol_int: float = TOL_INT) -> list[int]:
+def threshold_policy_below_T(params: EconomicParams, policy: ServiceRatePolicy) -> list[int]:
     """Closed-form pure equilibria in {0..T} for a two-rate policy.
 
     With y = r_tilde * mu_low: y integer and y <= T gives {y-1, y}; y
     non-integer below T gives {floor(y)}; T < y <= T + mu_l/mu_h with
     floor(y) = T gives {T}; otherwise none. The boundary
-    y = T + mu_l/mu_h is included (weak inequality).
+    y = T + mu_l/mu_h is included (weak inequality); both tests allow TOL_INT.
     """
     if policy.threshold_form is None:
         raise ValueError("requires a two-rate threshold policy")
     T, mu_l, mu_h = policy.threshold_form
     y = params.r_tilde * mu_l
     near = round(y)
-    if abs(y - near) <= tol_int:
+    if abs(y - near) <= TOL_INT:
         if near <= T:
             return sorted({k for k in (near - 1, near) if k >= 0})
         return []
     fl = math.floor(y)
     if fl < T:
         return [fl]
-    if fl == T and y <= T + mu_l / mu_h + tol_int:
+    if fl == T and y <= T + mu_l / mu_h + TOL_INT:
         return [T]
     return []
 
 
-def enumerate_pure_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
-                              tol_eq: float = TOL_EQ) -> EquilibriumReport:
+def enumerate_pure_equilibria(params: EconomicParams,
+                              policy: ServiceRatePolicy) -> EquilibriumReport:
     """Test every candidate threshold and return the sorted equilibrium set.
 
     The candidates are the integers from max(ceil(r_tilde mu_1 - 1), 0) to
     floor(r_tilde M), scored in one batched solve and judged by the
     two-sided test alone, whatever the policy.
     """
-    scan = _scan(params, policy, tol_eq)
-    diagnostics = [_diagnose(n0, w, params, policy, tol_eq)
+    scan = _scan(params, policy)
+    diagnostics = [_diagnose(n0, w, params, policy)
                    for n0, w in zip(scan, marginal_delays(policy, scan, params).tolist())]
     return EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
                              candidate_range=pure_candidate_range(params, policy),
@@ -226,14 +195,14 @@ def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
-                          x_min: float, x_max: float,
-                          probes: int = GRID_PROBES) -> tuple[list[float], list[tuple[float, float]]]:
+                          x_min: float, x_max: float) -> tuple[list[float], list[tuple[float, float]]]:
     """Locate mixed threshold equilibria w(x) = r_tilde on (x_min, x_max).
 
-    Each unit interval is probed on a grid and every bracketed sign change
-    is refined by bisection. When every probe of an interval has
-    |w - r_tilde| <= TOL_ROOT (the two-rate continuum case, r_tilde * mu_low
-    an integer at most T), the whole interval is reported instead of points.
+    Each unit interval is probed on a grid of GRID_PROBES steps and every
+    bracketed sign change is refined by bisection. When every probe of an
+    interval has |w - r_tilde| <= TOL_ROOT (the two-rate continuum case,
+    r_tilde * mu_low an integer at most T), the whole interval is reported
+    instead of points.
     """
     if not (0.0 < x_min < x_max):
         raise ValueError("need 0 < x_min < x_max")
@@ -246,7 +215,8 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
         hi = min(k + 1.0, x_max)
         if hi <= lo:
             continue
-        xs = [lo + _EDGE_PROBE] + [lo + (hi - lo) * i / probes for i in range(1, probes + 1)]
+        xs = [lo + _EDGE_PROBE] + [lo + (hi - lo) * i / GRID_PROBES
+                                   for i in range(1, GRID_PROBES + 1)]
         fs = [w - r for w in marginal_delays(policy, xs, params).tolist()]
         if all(abs(v) <= TOL_ROOT for v in fs):
             intervals.append((lo, hi))
@@ -271,27 +241,33 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
 
 
 def sweep_pure(params: EconomicParams, policy: ServiceRatePolicy,
-               n0_lo: int, n0_hi: int, tol_eq: float = TOL_EQ) -> list[tuple[int, float, bool]]:
-    """(n0, W(n0-1, n0), |W - r_tilde| <= tol) for each integer threshold."""
+               n0_lo: int, n0_hi: int) -> list[tuple[int, float, bool]]:
+    """(n0, W(n0-1, n0), |W - r_tilde| <= TOL_EQ) for each integer threshold."""
     n0s = range(max(n0_lo, 1), n0_hi + 1)
-    return [(n0, w, abs(w - params.r_tilde) <= tol_eq)
+    return [(n0, w, abs(w - params.r_tilde) <= TOL_EQ)
             for n0, w in zip(n0s, marginal_delays(policy, n0s, params).tolist())]
 
 
 def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
-                x_lo: float, x_hi: float, step: float,
-                tol_eq: float = TOL_EQ) -> list[tuple[float, float, bool]]:
-    """(x, w(x), equilibrium hit) on the grid x_lo + i*step up to x_hi."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    xs = []
-    i = 0
-    while True:
-        x = x_lo + i * step
-        if x > x_hi + 1e-12:
-            break
-        if x > 0.0:
-            xs.append(x)
-        i += 1
-    return [(x, w, abs(w - params.r_tilde) <= tol_eq)
-            for x, w in zip(xs, marginal_delays(policy, xs, params).tolist())]
+                x_lo: float, x_hi: float, step: float) -> list[tuple[float, float, bool]]:
+    """(x, w(x), |w - r_tilde| <= TOL_EQ) on the grid x = x_lo + i*step,
+    i = 0, 1, ..., while x <= x_hi + 1e-12, keeping x > 0.
+
+    A grid whose points times its largest balk state ceil(x_hi) + 1 exceed
+    MAX_TABLE_CELLS raises ValueError before the grid is built.
+    """
+    if not (step > 0.0 and math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise ValueError("sweep needs a finite range and a positive step")
+    top = x_hi + 1e-12
+    # one past the last grid point, with room for x_lo + i*step to round back
+    # down to top when step is finer than the float spacing there; inf when
+    # the grid is absurdly fine
+    points = (top - x_lo + 4.0 * math.ulp(top)) / step + 2.0
+    cells = points * (max(math.ceil(x_hi), 0) + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"sweep grid of about {points:.3g} points up to x = {x_hi:g} has "
+                         f"{cells:.3g} cells, over the limit of {MAX_TABLE_CELLS}")
+    xs = x_lo + step * np.arange(max(math.floor(points), 0))
+    xs = xs[(xs <= top) & (xs > 0.0)]
+    return [(x, w, abs(w - params.r_tilde) <= TOL_EQ)
+            for x, w in zip(xs.tolist(), marginal_delays(policy, xs, params).tolist())]

@@ -1,6 +1,8 @@
 """Domain types: service rate policies, joining strategies, economic parameters.
 
 All types are immutable after construction and safe to share across workers.
+A threshold x maps to join probabilities in one place, ``threshold_probs``:
+clip(x - m, 0, 1) at state m, used as computed, however close to 0 or 1.
 """
 from __future__ import annotations
 
@@ -9,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-PROB_TOL = 1e-12
 
 
 class InstanceError(ValueError):
@@ -102,66 +102,46 @@ class EconomicParams:
         object.__setattr__(self, "r_tilde", self.reward / self.wait_cost)
 
 
-def _snap_probability(p: float) -> float:
-    if -PROB_TOL <= p <= PROB_TOL:
-        return 0.0
-    if 1.0 - PROB_TOL <= p <= 1.0 + PROB_TOL:
-        return 1.0
-    if 0.0 < p < 1.0:
-        return p
-    raise InstanceError(f"join probability {p!r} outside [0, 1]")
-
-
 @dataclass(frozen=True)
 class JoinStrategy:
     """Join-probability vector p_0..p_{n0} with p_{n0} = 0.
 
-    The vector is canonical: it ends at the first zero (the balk state),
-    and all later states implicitly prescribe balking.
+    Every probability must be finite and in [0, 1], and at least one zero;
+    none is rounded. The vector is canonical: it ends at the first zero (the
+    balk state), and all later states implicitly prescribe balking.
     """
 
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        snapped = tuple(_snap_probability(float(p)) for p in self.probs)
-        try:
-            n0 = snapped.index(0.0)
-        except ValueError:
-            raise InstanceError("strategy must balk at some finite state") from None
-        object.__setattr__(self, "probs", snapped[: n0 + 1])
+        p = np.asarray(self.probs, dtype=float)
+        bad = ~((p >= 0.0) & (p <= 1.0))
+        if bad.any():
+            raise InstanceError(f"join probability {float(p[bad][0])!r} outside [0, 1]")
+        zeros = np.flatnonzero(p == 0.0)
+        if zeros.size == 0:
+            raise InstanceError("strategy must balk at some finite state")
+        object.__setattr__(self, "probs", tuple(p[: zeros[0] + 1].tolist()))
 
     @property
     def balk_state(self) -> int:
         """First state where joining has probability zero."""
         return len(self.probs) - 1
 
-    def prob(self, n: int) -> float:
-        """Join probability at state n (zero beyond the balk state)."""
-        if n < 0:
-            raise ValueError("state must be nonnegative")
-        return self.probs[n] if n < len(self.probs) else 0.0
+
+def threshold_probs(xs, n: int) -> np.ndarray:
+    """Join probabilities clip(x - m, 0, 1) at states m = 0..n, one column per
+    threshold x: join below floor(x), join with probability x - floor(x) at
+    floor(x), balk from ceil(x) on."""
+    return np.clip(np.asarray(xs, dtype=float) - np.arange(n + 1.0)[:, None], 0.0, 1.0)
 
 
 def strategy_from_x(x: float) -> JoinStrategy:
-    """Build the join strategy induced by threshold x.
-
-    Integer x: join below x, balk at x. Non-integer x: balk state is
-    floor(x) + 1, with join probability x - floor(x) at state floor(x).
-    """
+    """Build the join strategy induced by threshold x; its balk state is ceil(x)."""
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise InstanceError("threshold x must be nonnegative")
-    k = math.floor(x)
-    frac = x - k
-    if frac == 0.0:
-        return JoinStrategy((1.0,) * k + (0.0,))
-    return JoinStrategy((1.0,) * k + (frac, 0.0))
-
-
-def balk_upper_bound(params: EconomicParams, policy: ServiceRatePolicy) -> int:
-    """Uniform upper bound floor(r_tilde * M) + 1 on the first state where
-    joining has strictly negative net benefit, for any strategy."""
-    return math.floor(params.r_tilde * policy.max_rate) + 1
+    return JoinStrategy(threshold_probs([x], math.ceil(x))[:, 0])
 
 
 _TOP_KEYS = {"lambda", "reward", "wait_cost", "policy"}

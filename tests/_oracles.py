@@ -5,7 +5,8 @@ assembles the full first-step linear system and hands it to a generic
 solver; the loop oracle solves the triangular system one entry at a time;
 the below-threshold brute force checks the two-sided delay condition
 directly with the constant-low-rate closed forms; the best-response scan
-applies the definition of a pure equilibrium to dense solves.
+applies the definition of a pure equilibrium to dense solves; the grid loop
+builds the mixed sweep's grid one point at a time.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ def dense_delay_solve(policy, strategy, params):
     A = np.zeros((size, size))
     b = np.ones(size)
     for (n, m), i in index.items():
-        pm = strategy.prob(m)
+        pm = strategy.probs[m]
         mum = policy.rate_at(m)
         A[i, i] = lam * pm + mum
         if m < n0:
@@ -46,16 +47,14 @@ def dense_delay_solve(policy, strategy, params):
 
 
 class UnsnappedThreshold:
-    """The threshold-x strategy with its join probabilities clip(x - m, 0, 1)
-    exactly as computed; JoinStrategy would snap one within 1e-12 of 0 or 1.
-    Offers the two members the oracles read."""
+    """The threshold-x strategy built independently of the library: join
+    probabilities min(max(x - m, 0), 1) for m = 0..ceil(x), in plain Python
+    floats, used exactly as computed however close to 0 or 1. Offers the two
+    members the oracles read, ``balk_state`` and ``probs``."""
 
     def __init__(self, x: float):
-        self.x = x
         self.balk_state = math.ceil(x)
-
-    def prob(self, m: int) -> float:
-        return min(max(self.x - m, 0.0), 1.0)
+        self.probs = tuple(min(max(x - m, 0.0), 1.0) for m in range(self.balk_state + 1))
 
 
 def closed_form_below_T(policy, n):
@@ -115,6 +114,20 @@ def naor_set(r_tilde, mu):
     return [n for n in range(lo, hi + 1)]
 
 
+def sweep_grid_loop(x_lo, x_hi, step):
+    """The mixed sweep's grid point by point: x = x_lo + i*step for
+    i = 0, 1, ... until x > x_hi + 1e-12, keeping x > 0."""
+    xs = []
+    i = 0
+    while True:
+        x = x_lo + i * step
+        if x > x_hi + 1e-12:
+            return xs
+        if x > 0.0:
+            xs.append(x)
+        i += 1
+
+
 def loop_delay_solve(policy, strategy, params):
     """The triangular system solved entry by entry, as an (n0, n0+1) array.
 
@@ -127,7 +140,7 @@ def loop_delay_solve(policy, strategy, params):
     lam = params.arrival_rate
     W = np.full((max(n0, 1), n0 + 1), np.nan)
     mu = [policy.rate_at(m) for m in range(1, n0 + 1)]  # mu[m-1] = mu_m
-    p = [strategy.prob(m) for m in range(n0 + 1)]
+    p = strategy.probs
     for n in range(n0):
         for m in range(n0, n, -1):
             lp = lam * p[m]

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from threshq.cli import main as cli_main
-from threshq.delay import arrival_delays, solve_delay_table
+from threshq.delay import arrival_delay, solve_delay_table
 from threshq.equilibrium import (
     enumerate_pure_equilibria,
     find_mixed_equilibria,
     marginal_delay,
-    pure_marginal_delay,
     threshold_policy_below_T,
 )
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
@@ -100,7 +99,8 @@ def test_criterion_3_constant_rate_reduction():
             mismatches += 1
         n0 = int(rng.integers(1, 9))
         table = solve_delay_table(policy, strategy_from_x(n0), p)
-        for n, w in enumerate(arrival_delays(table, policy)):
+        for n in range(n0 + 1):
+            w = arrival_delay(table, policy, n)
             assert abs(w - (n + 1) / mu) <= 1e-12
     assert mismatches == 0
     report("3 (constant-rate equilibrium set, 520 draws)")
@@ -184,8 +184,8 @@ def test_criterion_7_mixed_equilibria():
     for a, b in zip(above, above[1:]):
         if b - a != 1:
             continue
-        w_low = pure_marginal_delay(a, p, CASE_POLICY)
-        w_high = pure_marginal_delay(b, p, CASE_POLICY)
+        w_low = marginal_delay(float(a), p, CASE_POLICY)
+        w_high = marginal_delay(float(b), p, CASE_POLICY)
         if w_low > p.r_tilde - 0.2 and w_high < p.r_tilde:  # 1/mu_h = 0.2
             assert any(a < x < b for x in pts)
     # continuum: r_tilde * mu_l = 17 is an integer at most T
@@ -240,7 +240,7 @@ def test_criterion_9_monte_carlo_agreement():
         cfg = SimConfig(9000 + i, 10_000, params, policy, strategy)
         est = simulate_sojourn(cfg, n)
         table = solve_delay_table(policy, strategy, params)
-        analytic = arrival_delays(table, policy)[n]
+        analytic = arrival_delay(table, policy, n)
         se = est.half_width_95 / 1.959963984540054
         if abs(est.mean - analytic) > 3 * se:
             failures += 1

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from threshq import cli, delay, sim
+from threshq import cli, delay, equilibrium, sim
 from threshq.cli import main
 from threshq.model import EconomicParams, ServiceRatePolicy
 
@@ -122,6 +123,25 @@ class TestEquilibriaCommand:
         doc = json.loads(out)
         assert code == 0 and len(doc["mixed_points"]) == 1
 
+    def test_mixed_range_step_exit_2(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                                 "--mixed-range", "24:40:7")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no step" in err and err.count("\n") == 1
+
+    def test_table1_non_finite_reward_exit_2(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                                 "--table1", "8,nan")
+        assert code == 2 and out == ""
+        assert err == "error: --table1 reward must be a finite number, got nan\n"
+
+    def test_tol_eq_flag_removed(self, capsys, case_study_instance):
+        # the equality tolerance is the constant TOL_EQ: no flag may move it
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibria", "--instance", str(case_study_instance), "--tol-eq", "0.1"])
+        assert exc.value.code == 2
+        assert "--tol-eq" in capsys.readouterr().err
+
     def test_diagnostics_csv(self, tmp_path, capsys, case_study_instance):
         out_dir = tmp_path / "diag"
         run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
@@ -139,6 +159,7 @@ class TestWorkBudget:
         def refuse(*args):
             raise AssertionError("a solve started")
         monkeypatch.setattr(delay, "_sweep", refuse)
+        monkeypatch.setattr(equilibrium, "marginal_delays", refuse)
 
     def run_refused(self, capsys, *argv):
         code, out, err = run_cli(capsys, *argv)
@@ -158,6 +179,13 @@ class TestWorkBudget:
     def test_pure_sweep_huge_top(self, capsys, case_study_instance, no_solve):
         self.run_refused(capsys, "sweep", "--instance", str(case_study_instance),
                          "--kind", "pure_n0", "--range", "3170:3200")
+
+    def test_mixed_sweep_huge_grid(self, capsys, case_study_instance, no_solve):
+        # the range end 3000 passes the table check; 3 * 10^12 grid points do not
+        t0 = time.perf_counter()
+        self.run_refused(capsys, "sweep", "--instance", str(case_study_instance),
+                         "--kind", "mixed_x", "--range", "1:3000:1e-9")
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestSimulationInputBoundary:
@@ -257,3 +285,24 @@ class TestVerifyCouplingCommand:
                                "--n", "2", "--n0", "5", "--reps", "500", "--seed", "6")
         assert code == 0
         assert "violations=0" in out
+
+
+class TestNearIntegerThreshold:
+    """At x = k + 2e-15 the join probability at state k is about 2e-15, used
+    as computed: every command puts the balk state at ceil(x) = k + 1."""
+
+    @pytest.mark.parametrize("k", [10, 24])
+    def test_delay_sweep_and_coupling_agree(self, tmp_path, capsys, case_study_instance, k):
+        x = repr(k + 2e-15)
+        inst = str(case_study_instance)
+        code, out, _ = run_cli(capsys, "delay", "--instance", inst, "--x", x)
+        assert code == 0
+        last = out.splitlines()[-1].split(",")
+        assert last[:2] == [str(k), str(k + 1)]  # W(k, k+1): the balk state is k + 1
+        code, out, _ = run_cli(capsys, "sweep", "--instance", inst, "--kind", "mixed_x",
+                               "--range", f"{x}:{x}:1")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[:2] == [x, last[2]]
+        code, out, _ = run_cli(capsys, "verify-coupling", "--instance", inst, "--n", "2",
+                               "--n0", str(k + 1), "--x", x, "--reps", "200", "--seed", "3")
+        assert code == 0 and "violations=0" in out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threshq import delay
-from threshq.delay import arrival_delay, arrival_delays, marginal_delays, solve_delay_table
+from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
 from _oracles import UnsnappedThreshold, closed_form_below_T, dense_delay_solve, loop_delay_solve
@@ -124,7 +124,7 @@ class TestSolveDelayTable:
         for n in range(n0):
             for m in range(n + 1, n0 + 1):
                 mu = 1.0 if m <= T else 3.0
-                pm = strategy.prob(m)
+                pm = strategy.probs[m]
                 rhs = 1.0 / (lam * pm + mu)
                 if m < n0:
                     rhs += lam * pm / (lam * pm + mu) * t.w(n, m + 1)
@@ -246,7 +246,7 @@ class TestArrivalDelay:
     def test_arrival_delays_vector(self, small_case):
         policy, strategy, params = small_case
         t = solve_delay_table(policy, strategy, params)
-        assert arrival_delays(t, policy) == [
+        assert [arrival_delay(t, policy, n) for n in range(t.n0 + 1)] == [
             pytest.approx(v) for v in (0.75, 1.25, 1.75)]
 
 

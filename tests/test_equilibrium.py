@@ -6,19 +6,16 @@ import pytest
 
 from threshq.equilibrium import (
     TOL_EQ,
-    best_response,
     enumerate_pure_equilibria,
     find_mixed_equilibria,
-    is_pure_equilibrium,
     marginal_delay,
-    net_benefit,
     pure_candidate_range,
-    pure_marginal_delay,
     sweep_mixed,
     sweep_pure,
     threshold_policy_below_T,
 )
-from threshq.delay import solve_delay_table
+from threshq import equilibrium as eq_mod
+from threshq.delay import arrival_delay, solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
 from _oracles import (
@@ -26,6 +23,7 @@ from _oracles import (
     brute_force_below_threshold,
     dense_delay_solve,
     naor_set,
+    sweep_grid_loop,
 )
 from conftest import random_policy
 
@@ -34,31 +32,43 @@ def params_R(R, lam=3.0, C=1.0):
     return EconomicParams(lam, R, C)
 
 
+def gap(n, x, p, pol):
+    """r_tilde - W(n): the net benefit per unit waiting cost of joining at
+    state n when everyone else follows threshold x."""
+    return p.r_tilde - arrival_delay(solve_delay_table(pol, strategy_from_x(x), p), pol, n)
+
+
+def diagnostic(n0, p, pol):
+    """The two-sided test of candidate n0, as enumerate_pure_equilibria reports it."""
+    return next(d for d in enumerate_pure_equilibria(p, pol).diagnostics if d.n0 == n0)
+
+
 class TestNetBenefit:
     def test_balking_yields_zero(self):
+        # the balk-state arrival joins with probability 0; below it, constant
+        # mu = 1 gives W(n) = n + 1, so reward 2 leaves the state-1 joiner at zero
         pol = ServiceRatePolicy.constant(1.0)
-        assert net_benefit(0.0, 1, strategy_from_x(3), params_R(2.0, lam=1.0), pol) == 0.0
+        assert strategy_from_x(3).probs[3] == 0.0
+        assert gap(1, 3, params_R(2.0, lam=1.0), pol) == pytest.approx(0.0, abs=1e-12)
 
     def test_indifference_yields_zero(self):
         # constant mu = 1, W(2) = 3; reward 3 makes the state-2 joiner indifferent
         pol = ServiceRatePolicy.constant(1.0)
-        u = net_benefit(1.0, 2, strategy_from_x(3), params_R(3.0, lam=1.0), pol)
-        assert u == pytest.approx(0.0, abs=1e-12)
+        assert gap(2, 3, params_R(3.0, lam=1.0), pol) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
+        # W(1) = 1.25 under mu = (1, 2), threshold 2
         pol = ServiceRatePolicy((1.0,), 2.0)
-        u = net_benefit(1.0, 1, strategy_from_x(2), params_R(2.0, lam=1.0), pol)
-        assert u == pytest.approx(0.75, abs=1e-12)
+        assert gap(1, 2, params_R(2.0, lam=1.0), pol) == pytest.approx(0.75, abs=1e-12)
 
 
 class TestBestResponse:
     def test_join_balk_indifferent(self):
         pol = ServiceRatePolicy.constant(1.0)
-        strat = strategy_from_x(3)
         p = params_R(3.5, lam=1.0)
-        assert best_response(2, strat, p, pol) == "join"     # W = 3 < 3.5
-        assert best_response(3, strat, p, pol) == "balk"     # W = 4 > 3.5
-        assert best_response(2, strat, params_R(3.0, lam=1.0), pol) == "indifferent"
+        assert gap(2, 3, p, pol) > TOL_EQ     # join: W = 3 < 3.5
+        assert gap(3, 3, p, pol) < -TOL_EQ    # balk: W = 4 > 3.5
+        assert abs(gap(2, 3, params_R(3.0, lam=1.0), pol)) <= TOL_EQ  # indifferent
 
 
 class TestPureCandidateRange:
@@ -82,27 +92,33 @@ class TestPureCandidateRange:
 
 
 class TestIsPureEquilibrium:
+    """The two-sided test r_tilde - 1/mu_{n0+1} <= W(n0-1, n0) <= r_tilde,
+    read from the enumeration's diagnostics; a candidate outside the scan
+    fails one of the delay bounds the scan is built from."""
+
     def test_case_study_r815(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
         p = params_R(8.15)
-        assert is_pure_equilibrium(26, p, pol).is_equilibrium
-        assert not is_pure_equilibrium(25, p, pol).is_equilibrium
+        assert diagnostic(26, p, pol).is_equilibrium
+        assert not diagnostic(25, p, pol).is_equilibrium
 
     def test_naor_condition_constant_rate(self):
         pol = ServiceRatePolicy.constant(2.0)
         p = params_R(3.3, lam=1.0)  # r mu = 6.6, not integer
-        assert is_pure_equilibrium(6, p, pol).is_equilibrium
-        assert not is_pure_equilibrium(5, p, pol).is_equilibrium
-        assert not is_pure_equilibrium(7, p, pol).is_equilibrium
+        assert diagnostic(6, p, pol).is_equilibrium
+        assert enumerate_pure_equilibria(p, pol).pure_equilibria == [6]
+        # W(n0-1, n0) = n0/2: 2.5 is below r - 1/mu = 2.8, 3.5 above r = 3.3
+        assert marginal_delay(5.0, p, pol) < p.r_tilde - 0.5 - TOL_EQ
+        assert marginal_delay(7.0, p, pol) > p.r_tilde + TOL_EQ
 
     def test_always_balk_degenerate(self):
         pol = ServiceRatePolicy.constant(2.0)
-        assert is_pure_equilibrium(0, params_R(0.4, lam=1.0), pol).is_equilibrium
-        assert not is_pure_equilibrium(0, params_R(0.6, lam=1.0), pol).is_equilibrium
+        assert diagnostic(0, params_R(0.4, lam=1.0), pol).is_equilibrium
+        assert 0 not in enumerate_pure_equilibria(params_R(0.6, lam=1.0), pol).pure_equilibria
 
     def test_diagnostic_fields(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
-        d = is_pure_equilibrium(26, params_R(8.15), pol)
+        d = diagnostic(26, params_R(8.15), pol)
         assert d.n0 == 26
         assert d.upper_bound == 8.15
         assert d.lower_bound == pytest.approx(8.15 - 0.2)
@@ -182,10 +198,9 @@ class TestEnumeratePure:
         for n0 in rep.pure_equilibria:
             if n0 == 0:
                 continue
-            strat = strategy_from_x(n0)
             for n in range(n0):
-                assert best_response(n, strat, p, pol) in ("join", "indifferent")
-            assert best_response(n0, strat, p, pol) in ("balk", "indifferent")
+                assert gap(n, n0, p, pol) >= -TOL_EQ   # join or indifferent
+            assert gap(n0, n0, p, pol) <= TOL_EQ       # balk or indifferent
 
     def test_matches_best_response_randomized(self):
         # general and two-rate policies in turn, against the definition
@@ -233,8 +248,9 @@ class TestMarginalDelay:
     def test_integer_matches_pure(self):
         p = params_R(8.5)
         for n0 in (10, 24, 30):
+            table = solve_delay_table(self.POL, strategy_from_x(n0), p)
             assert marginal_delay(float(n0), p, self.POL) == pytest.approx(
-                pure_marginal_delay(n0, p, self.POL), abs=1e-14)
+                table.w(n0 - 1, n0), abs=1e-14)
 
     def test_continuum_value_below_threshold(self):
         # r mu_l = 17 integer: w is exactly r_tilde on (16, 17)
@@ -311,3 +327,28 @@ class TestSweeps:
     def test_step_larger_than_range(self):
         rows = sweep_mixed(params_R(8.5), self.POL, 30.5, 30.6, 5.0)
         assert len(rows) == 1
+
+    def test_mixed_grid_equals_loop_oracle(self):
+        # random ranges, ranges ending near an integer, empty and negative
+        # ones, and a step finer than the float spacing at x = 64
+        rng = np.random.default_rng(77)
+        pol, p = ServiceRatePolicy.constant(2.0), params_R(3.0)
+        ranges = [(64.0, 64.0, 1e-15), (1.05, 12.0, 0.05), (5.0, 1.0, 0.1),
+                  (-3.0, 2.0, 0.3), (0.0, 1.0, 0.1), (0.3, 0.9, 0.1)]
+        for _ in range(200):
+            a = float(rng.uniform(-2.0, 30.0))
+            b = a + float(rng.choice([rng.uniform(-1.0, 8.0), 0.0, 1e-12, 2e-12]))
+            ranges.append((a, b, float(10.0 ** rng.uniform(-2.0, 0.5))))
+        for a, b, step in ranges:
+            xs = [x for x, _, _ in sweep_mixed(p, pol, a, b, step)]
+            assert xs == sweep_grid_loop(a, b, step), (a, b, step)
+
+    def test_mixed_grid_over_cell_budget_rejected(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve started")
+        monkeypatch.setattr(eq_mod, "marginal_delays", refuse)
+        # 3 * 10^12 points: the grid is refused before it is built
+        with pytest.raises(ValueError, match="over the limit"):
+            sweep_mixed(params_R(8.5), self.POL, 1.0, 3000.0, 1e-9)
+        with pytest.raises(ValueError, match="over the limit"):
+            sweep_mixed(params_R(8.5), self.POL, 0.0, 1.0, 1e-320)

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,10 +10,16 @@ from threshq.model import (
     InstanceError,
     JoinStrategy,
     ServiceRatePolicy,
-    balk_upper_bound,
     parse_instance,
     strategy_from_x,
 )
+
+from _oracles import UnsnappedThreshold
+
+
+def prob(strategy, n):
+    """Join probability at state n, zero beyond the balk state."""
+    return strategy.probs[n] if n < len(strategy.probs) else 0.0
 
 
 class TestServiceRatePolicy:
@@ -88,8 +96,8 @@ class TestJoinStrategy:
     def test_balk_state_is_first_zero(self):
         s = JoinStrategy((1.0, 0.5, 0.0))
         assert s.balk_state == 2
-        assert s.prob(1) == 0.5
-        assert s.prob(5) == 0.0
+        assert s.probs == (1.0, 0.5, 0.0)
+        assert prob(s, 1) == 0.5 and prob(s, 5) == 0.0
 
     def test_trailing_redundancy_trimmed(self):
         s = JoinStrategy((1.0, 0.0, 0.7, 0.0))
@@ -106,9 +114,15 @@ class TestJoinStrategy:
         with pytest.raises(InstanceError):
             JoinStrategy((-0.1, 0.0))
 
-    def test_endpoint_rounding_snapped(self):
-        s = JoinStrategy((1.0 + 1e-13, -1e-13))
-        assert s.probs == (1.0, 0.0)
+    @pytest.mark.parametrize("probs", [(1.0 + 1e-13, 0.0), (1.0, -1e-13),
+                                       (float("nan"), 0.0), (float("inf"), 0.0)])
+    def test_near_endpoints_and_non_finite_rejected_not_snapped(self, probs):
+        with pytest.raises(InstanceError, match="outside"):
+            JoinStrategy(probs)
+
+    def test_near_endpoints_kept_as_given(self):
+        s = JoinStrategy((1.0 - 1e-15, 1e-15, 0.0))
+        assert s.probs == (1.0 - 1e-15, 1e-15, 0.0) and s.balk_state == 2
 
 
 class TestStrategyFromX:
@@ -138,19 +152,23 @@ class TestStrategyFromX:
         x, y = sorted((a, b))
         px, py = strategy_from_x(x), strategy_from_x(y)
         for n in range(py.balk_state + 1):
-            assert px.prob(n) <= py.prob(n) + 1e-12
+            assert prob(px, n) <= prob(py, n) + 1e-12
 
     @given(st.floats(0.0, 1000.0))
     def test_always_finite_balk_state(self, x):
         assert strategy_from_x(x).balk_state <= x + 1
 
-
-class TestBalkUpperBound:
-    def test_values(self):
-        pol = ServiceRatePolicy.constant(5.0)
-        assert balk_upper_bound(EconomicParams(1.0, 8.5, 1.0), pol) == 43
-        assert balk_upper_bound(EconomicParams(1.0, 0.0, 1.0), pol) == 1
-        assert balk_upper_bound(EconomicParams(1.0, 13.0, 1.0), pol) == 66
+    def test_probs_equal_unsnapped_oracle(self):
+        # at each integer k, one ulp either side and k +- 1e-15, the
+        # probabilities are clip(x - m, 0, 1) as computed, so the balk state
+        # is ceil(x) and none within 1e-12 of 0 or 1 is rounded
+        for k in (1, 2, 10, 25, 37):
+            for x in (float(k), np.nextafter(k, 0.0), np.nextafter(k, np.inf),
+                      k - 1e-15, k + 1e-15):
+                s = strategy_from_x(x)
+                assert s.probs == UnsnappedThreshold(x).probs, x
+                assert s.balk_state == math.ceil(x), x
+        assert strategy_from_x(10 + 2e-15).probs[10] == pytest.approx(2e-15, rel=0.2)
 
 
 class TestParseInstance:
@@ -190,3 +208,22 @@ class TestParseInstance:
     def test_round_trips_through_json(self):
         params, policy = parse_instance(json.loads(json.dumps(self.good())))
         assert policy.rate_at(24) == 5.0
+
+
+class TestPackage:
+    def test_star_import_and_all(self):
+        import ast
+        import inspect
+
+        import threshq
+
+        namespace = {}
+        exec("from threshq import *", namespace)
+        assert set(threshq.__all__) <= set(namespace)
+        tree = ast.parse(inspect.getsource(threshq))
+        imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                    for alias in node.names]
+        assert sorted(threshq.__all__) == sorted(imported)
+        for gone in ("net_benefit", "best_response", "is_pure_equilibrium",
+                     "pure_marginal_delay", "arrival_delays", "balk_upper_bound"):
+            assert not hasattr(threshq, gone)
