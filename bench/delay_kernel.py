@@ -9,7 +9,8 @@ median over 5 repeats of the mean seconds per call.
   lambda = 3) under the pure threshold n0.
 - mixed_interval: find_mixed_equilibria on one unit interval (k, k+1) of the
   case study at reward 20, where w(x) < r_tilde throughout, so the time is
-  the 65 probes alone, with no bisection.
+  the search's first solve alone (65 probes before the end-bracket search,
+  the two ends since), with no root to refine.
 - enumerate_pure: enumerate_pure_equilibria on the general policy with rates
   1, 2, 3 and tail 4 (mu_1 / M = 0.25), r_tilde M = 60 and 200 (candidates
   from about r_tilde mu_1 up to r_tilde M); on the case study at reward 8.5,

@@ -119,6 +119,9 @@ def cmd_sweep(args) -> int:
     a, b, step = _parse_range(args.range)
     _check_work(b, "range end")
     if args.kind == "pure_n0":
+        if step is not None or not (a.is_integer() and b.is_integer()):
+            raise InstanceError(f"bad --range {args.range!r}; pure_n0 expects integers a:b, "
+                                "with no step")
         rows = eq_mod.sweep_pure(params, policy, int(a), int(b))
         lines = ["n0,W,equilibrium_hit"]
         for n0, w, hit in rows:

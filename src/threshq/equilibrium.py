@@ -6,9 +6,12 @@ n0/M <= W(n0-1, n0) <= n0/mu_1 confine such n0 to the integers from
 r_tilde mu_1 - 1 to r_tilde M, so one scan of that range, scored in one
 batched solve, finds them all; the two-rate closed form below the service
 threshold is a corollary the tests cross-check. A mixed threshold x is an
-equilibrium iff the marginal delay w(x) equals r_tilde; roots are located by
-grid probing plus bisection since per-interval monotonicity of w is observed
-but not proved.
+equilibrium iff the marginal delay w(x) equals r_tilde. On a unit interval
+(k, k+1] only the join probability x - k at state k moves; those joiners
+queue behind the marginal customer, and with nondecreasing rates they can
+only speed its service, so w is nonincreasing there and the interval's two
+ends decide its roots. test_w_nonincreasing_on_unit_intervals in
+tests/test_equilibrium.py checks this on random instances.
 """
 from __future__ import annotations
 
@@ -23,14 +26,9 @@ from .model import EconomicParams, ServiceRatePolicy
 TOL_EQ = 1e-9       # equality / indifference tolerance, time units
 TOL_INT = 1e-9      # integrality test for r_tilde * mu_low
 TOL_ROOT = 1e-9     # |w(x) - r_tilde| at a reported mixed equilibrium
-TOL_ROOT_X = 1e-10  # bisection interval width
-GRID_PROBES = 64    # probes per unit interval in the mixed search
-MAX_BISECT = 200
-_EDGE_PROBE = 1e-9  # offset of the first probe past an integer
-
-
-class RootSearchError(RuntimeError):
-    """Bisection failed to converge on a bracketed interval."""
+TOL_ROOT_X = 1e-10  # width of a refined mixed-root bracket
+REFINE_POINTS = 63  # interior points per bracket and refinement step
+_EDGE_PROBE = 1e-9  # offset of an interval's left end past an integer
 
 
 @dataclass(frozen=True)
@@ -178,66 +176,59 @@ def marginal_delay(x: float, params: EconomicParams, policy: ServiceRatePolicy) 
     return float(marginal_delays(policy, [x], params)[0])
 
 
-def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Bisection on a sign change of f over [a, b]."""
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (a + b)
-        if b - a <= TOL_ROOT_X:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    raise RootSearchError(f"bisection did not converge on [{a}, {b}]")
-
-
 def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
                           x_min: float, x_max: float) -> tuple[list[float], list[tuple[float, float]]]:
     """Locate mixed threshold equilibria w(x) = r_tilde on (x_min, x_max).
 
-    Each unit interval is probed on a grid of GRID_PROBES steps and every
-    bracketed sign change is refined by bisection. When every probe of an
-    interval has |w - r_tilde| <= TOL_ROOT (the two-rate continuum case,
-    r_tilde * mu_low an integer at most T), the whole interval is reported
-    instead of points.
+    w is nonincreasing on each unit interval, so the interval's two ends,
+    solved for all intervals in one batch, decide it: both within TOL_ROOT
+    of r_tilde make a continuum interval (the two-rate case r_tilde * mu_low
+    an integer at most T), reported whole instead of points; a sign change
+    brackets one root; an end exactly at r_tilde is a root. All brackets are
+    refined together, REFINE_POINTS interior points each in one batched
+    solve per step, until each is at most TOL_ROOT_X wide with an end within
+    TOL_ROOT of r_tilde; that end is reported. Roots within 1e-9 of an
+    integer are pure thresholds and are dropped.
     """
     if not (0.0 < x_min < x_max):
         raise ValueError("need 0 < x_min < x_max")
     r = params.r_tilde
+    ks = np.arange(max(math.floor(x_min), 0), math.ceil(x_max))
+    lo, hi = np.maximum(ks, x_min), np.minimum(ks + 1.0, x_max)
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    x0 = lo + _EDGE_PROBE
+    f0, f1 = np.split(marginal_delays(policy, np.concatenate((x0, hi)), params) - r, 2)
+    flat = (np.abs(f0) <= TOL_ROOT) & (np.abs(f1) <= TOL_ROOT)
+    bracket = ~flat & (f0 != 0.0) & (f1 != 0.0) & ((f0 < 0.0) != (f1 < 0.0))
+    a, b, fa, fb = x0[bracket], hi[bracket], f0[bracket], f1[bracket]
+    inner = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
+    live = np.ones(len(a), bool)
+    while True:
+        live &= (b - a > TOL_ROOT_X) | (np.minimum(np.abs(fa), np.abs(fb)) > TOL_ROOT)
+        if not live.any():
+            break
+        xs = np.column_stack((a[live], a[live, None] + (b - a)[live, None] * inner, b[live]))
+        fs = np.column_stack((fa[live], marginal_delays(policy, xs[:, 1:-1].ravel(), params)
+                              .reshape(-1, REFINE_POINTS) - r, fb[live]))
+        # the first point whose sign differs from the left end's (b at the latest)
+        i = 1 + ((fs[:, 1:] < 0.0) != (fs[:, :1] < 0.0)).argmax(axis=1)
+        rows = np.arange(len(i))
+        new = xs[rows, i - 1], xs[rows, i], fs[rows, i - 1], fs[rows, i]
+        moved = (new[0] != a[live]) | (new[1] != b[live])  # adjacent floats stay put
+        a[live], b[live], fa[live], fb[live] = new
+        live[live] = moved
+    # one candidate per interval: its bracket's end nearer r_tilde, or an end exactly at it
+    roots = np.where(f0 == 0.0, x0, hi)
+    roots[bracket] = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    residual = np.zeros(len(roots))
+    residual[bracket] = np.minimum(np.abs(fa), np.abs(fb))
+    keep = (bracket | ~flat & ((f0 == 0.0) | (f1 == 0.0))) & (residual <= TOL_ROOT)
+    roots = roots[keep & (np.abs(roots - np.round(roots)) > 1e-9)]  # not a pure threshold
     points: list[float] = []
-    intervals: list[tuple[float, float]] = []
-    f = lambda x: marginal_delay(x, params, policy) - r
-    for k in range(max(math.floor(x_min), 0), math.ceil(x_max)):
-        lo = max(float(k), x_min)
-        hi = min(k + 1.0, x_max)
-        if hi <= lo:
-            continue
-        xs = [lo + _EDGE_PROBE] + [lo + (hi - lo) * i / GRID_PROBES
-                                   for i in range(1, GRID_PROBES + 1)]
-        fs = [w - r for w in marginal_delays(policy, xs, params).tolist()]
-        if all(abs(v) <= TOL_ROOT for v in fs):
-            intervals.append((lo, hi))
-            continue
-        for i in range(len(xs) - 1):
-            fa, fb = fs[i], fs[i + 1]
-            if fa == 0.0:
-                root = xs[i]
-            elif fb == 0.0 or (fa < 0.0) == (fb < 0.0):
-                continue
-            else:
-                root = _bisect_root(f, xs[i], xs[i + 1], fa, fb)
-            if abs(root - round(root)) <= 1e-9:
-                continue  # coincides with a pure threshold
-            if abs(f(root)) <= TOL_ROOT and not any(abs(root - p) <= 1e-8 for p in points):
-                points.append(root)
-        # the right endpoint can be an interior root when f(hi) == 0 exactly
-        if fs[-1] == 0.0 and abs(hi - round(hi)) > 1e-9 and \
-                not any(abs(hi - p) <= 1e-8 for p in points):
-            points.append(hi)
-    return sorted(points), intervals
+    for root in roots.tolist():
+        if not points or root - points[-1] > 1e-8:
+            points.append(root)
+    return points, list(zip(lo[flat].tolist(), hi[flat].tolist()))
 
 
 def sweep_pure(params: EconomicParams, policy: ServiceRatePolicy,

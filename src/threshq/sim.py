@@ -10,7 +10,7 @@ and service requirement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class CouplingOutcome:
     n0: int
     t_a: np.ndarray
     t_b: np.ndarray
-    event_log: list[dict] = field(default_factory=list)
 
     @property
     def replications(self) -> int:
@@ -119,8 +118,7 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     return SojournEstimate(mean, half, reps)
 
 
-def run_coupling(config: SimConfig, n: int, n0: int,
-                 log_first_replication: bool = False) -> CouplingOutcome:
+def run_coupling(config: SimConfig, n: int, n0: int) -> CouplingOutcome:
     """Couple system A (n initial customers, labels 1..n) with system B
     (n+1 initial, labels 0..n, label 0 just entered service) under the pure
     or mixed threshold strategy with balk state n0.
@@ -143,17 +141,15 @@ def run_coupling(config: SimConfig, n: int, n0: int,
     mu = config.policy.rates(n0)  # mu[k - 1] with k present
     reps = config.replications
     dep = np.empty((reps, 2, n + 1))
-    log: list[dict] = []
     size = max(1, _BLOCK_CELLS // (n0 + 1))
     for start in range(0, reps, size):
         _couple_block(rng, config.params.arrival_rate, probs, mu, n,
-                      np.arange(start, min(start + size, reps)), dep,
-                      log if log_first_replication else None)
-    return CouplingOutcome(n, n0, dep[:, 0, 1:].copy(), dep[:, 1, 1:].copy(), log)
+                      np.arange(start, min(start + size, reps)), dep)
+    return CouplingOutcome(n, n0, dep[:, 0, 1:].copy(), dep[:, 1, 1:].copy())
 
 
 def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,
-                  n: int, rows: np.ndarray, dep: np.ndarray, log: list[dict] | None) -> None:
+                  n: int, rows: np.ndarray, dep: np.ndarray) -> None:
     """Run replications ``rows`` until label n has left both systems; write
     dep[r, s, j], the departure time of label j from system s (A = 0, B = 1).
 
@@ -199,15 +195,6 @@ def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: n
         r = i[j]
         rem[r, s, (d[r, s] + size[r, s]) % n0] = req[j]
         size[r, s] += 1
-        if log is not None and rows[0] == 0:
-            if ev[0] < 2:
-                log.append({"t": float(t[0]), "system": "AB"[ev[0]], "kind": "departure",
-                            "n_after": int(size[0, ev[0]])})
-            else:
-                for s in (0, 1):
-                    log.append({"t": float(t[0]), "system": "AB"[s],
-                                "kind": "join" if join[0, s] else "balk",
-                                "n_after": int(size[0, s])})
         keep = np.any(d != goal, axis=1)
         if not keep.all():
             rows, rem, d, size, t, nxt = (a[keep] for a in (rows, rem, d, size, t, nxt))

@@ -6,7 +6,9 @@ solver; the loop oracle solves the triangular system one entry at a time;
 the below-threshold brute force checks the two-sided delay condition
 directly with the constant-low-rate closed forms; the best-response scan
 applies the definition of a pure equilibrium to dense solves; the grid loop
-builds the mixed sweep's grid one point at a time.
+builds the mixed sweep's grid one point at a time; the grid search finds
+mixed roots by probing each unit interval and bisecting every sign change,
+without assuming that w is monotone there.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from threshq.delay import marginal_delays
 from threshq.model import strategy_from_x
 
 
@@ -152,3 +155,60 @@ def loop_delay_solve(policy, strategy, params):
                 val += (mu[m - 1] / denom) * W[n - 1, m - 1]
             W[n, m] = val
     return W
+
+
+def grid_mixed_equilibria(params, policy, x_min, x_max):
+    """Mixed equilibria w(x) = r_tilde on (x_min, x_max), one unit interval
+    at a time: w at ``lo + 1e-9`` and at 64 equal steps to the interval's
+    right end, one bisection per sign change between neighbours. Each
+    bisection runs until its bracket is at most 1e-10 wide and its midpoint
+    within 1e-9 of r_tilde, or until it cannot be halved.
+
+    An interval whose probes all lie within 1e-9 of r_tilde is reported
+    whole. A root within 1e-9 of an integer (a pure threshold) or with a
+    residual over 1e-9 is dropped, and one within 1e-8 of an earlier root
+    is a duplicate. A right end exactly at r_tilde is a root.
+    """
+    r, probes, tol_root = params.r_tilde, 64, 1e-9
+
+    def f(x):
+        return float(marginal_delays(policy, [x], params)[0]) - r
+
+    def bisect(a, b, fa):
+        while True:
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            if fm == 0.0 or not a < mid < b or (b - a <= 1e-10 and abs(fm) <= tol_root):
+                return mid
+            if (fa < 0.0) != (fm < 0.0):
+                b = mid
+            else:
+                a, fa = mid, fm
+
+    def keep(root):
+        return (abs(root - round(root)) > 1e-9 and abs(f(root)) <= tol_root
+                and not any(abs(root - p) <= 1e-8 for p in points))
+
+    points, intervals = [], []
+    for k in range(max(math.floor(x_min), 0), math.ceil(x_max)):
+        lo, hi = max(float(k), x_min), min(k + 1.0, x_max)
+        if hi <= lo:
+            continue
+        xs = [lo + 1e-9] + [lo + (hi - lo) * i / probes for i in range(1, probes + 1)]
+        fs = (marginal_delays(policy, xs, params) - r).tolist()
+        if all(abs(v) <= tol_root for v in fs):
+            intervals.append((lo, hi))
+            continue
+        for i in range(probes):
+            fa, fb = fs[i], fs[i + 1]
+            if fa == 0.0:
+                root = xs[i]
+            elif fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+                continue
+            else:
+                root = bisect(xs[i], xs[i + 1], fa)
+            if keep(root):
+                points.append(root)
+        if fs[-1] == 0.0 and keep(hi):
+            points.append(hi)
+    return sorted(points), intervals

@@ -262,6 +262,19 @@ class TestSweepCommand:
                              "--kind", "mixed_x", "--range", "nope")
         assert code == 2
 
+    def test_pure_range_step_exit_2(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                 "--kind", "pure_n0", "--range", "1:5:2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no step" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["2.9:4", "1:4.5"])
+    def test_pure_range_non_integer_exit_2(self, capsys, case_study_instance, spec):
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                 "--kind", "pure_n0", "--range", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "integers" in err and err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_within_ci(self, capsys, constant_instance):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threshq.equilibrium import (
     TOL_EQ,
@@ -15,13 +16,14 @@ from threshq.equilibrium import (
     threshold_policy_below_T,
 )
 from threshq import equilibrium as eq_mod
-from threshq.delay import arrival_delay, solve_delay_table
+from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
 from _oracles import (
     best_response_equilibria,
     brute_force_below_threshold,
     dense_delay_solve,
+    grid_mixed_equilibria,
     naor_set,
     sweep_grid_loop,
 )
@@ -274,6 +276,34 @@ class TestMarginalDelay:
             assert abs(w_at - w_left) <= 1e-8
 
 
+@st.composite
+def mixed_instances(draw):
+    """(params, policy, x_min, x_max): a general or two-rate policy and a
+    search range up to x = 14 whose ends are drawn as floats, so mostly not
+    integers. The reward is w(x) at a drawn x, so a root lies near it, or
+    r_tilde mu_low an integer at most T (a continuum interval), or free."""
+    lam = draw(st.floats(0.3, 6.0))
+    if draw(st.booleans()):
+        mu_l = draw(st.floats(0.3, 4.0))
+        policy = ServiceRatePolicy.two_rate(draw(st.integers(1, 10)), mu_l,
+                                            mu_l + draw(st.floats(0.1, 4.0)))
+    else:
+        rates = sorted(draw(st.lists(st.floats(0.3, 5.0), min_size=1, max_size=7)))
+        policy = ServiceRatePolicy(tuple(rates[:-1]), rates[-1])
+    x_min = draw(st.floats(0.05, 8.0))
+    x_max = x_min + draw(st.floats(0.05, 6.0))
+    kind = draw(st.sampled_from(["root", "continuum", "free"]))
+    if kind == "continuum" and policy.threshold_form is not None:
+        T, mu_l, _ = policy.threshold_form
+        r = draw(st.integers(1, T)) / mu_l
+    elif kind == "free":
+        r = draw(st.floats(0.05, 15.0))
+    else:
+        x = draw(st.floats(x_min, x_max))
+        r = float(marginal_delays(policy, [x], params_R(1.0, lam=lam))[0])
+    return params_R(r, lam=lam), policy, x_min, x_max
+
+
 class TestFindMixedEquilibria:
     POL = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
 
@@ -300,6 +330,28 @@ class TestFindMixedEquilibria:
         pts, _ = find_mixed_equilibria(params_R(8.5), self.POL, 24.0, 40.0)
         for x in pts:
             assert abs(x - round(x)) > 1e-9
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(mixed_instances())
+    def test_matches_grid_search(self, instance):
+        params, policy, x_min, x_max = instance
+        pts, ivals = find_mixed_equilibria(params, policy, x_min, x_max)
+        ref_pts, ref_ivals = grid_mixed_equilibria(params, policy, x_min, x_max)
+        assert ivals == ref_ivals
+        assert len(pts) == len(ref_pts) and np.allclose(pts, ref_pts, rtol=0.0, atol=1e-8)
+        residuals = marginal_delays(policy, pts, params) - params.r_tilde
+        assert np.all(np.abs(residuals) <= eq_mod.TOL_ROOT)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mixed_instances())
+    def test_w_nonincreasing_on_unit_intervals(self, instance):
+        # joiners at state k queue behind the marginal customer and can only
+        # speed its service, so w falls as x - k grows; rounding only may rise
+        params, policy, x_min, x_max = instance
+        for k in range(math.floor(x_min), math.ceil(x_max)):
+            xs = k + np.concatenate(([1e-9], np.arange(1, 65) / 64))
+            w = marginal_delays(policy, xs, params)
+            assert np.all(np.diff(w) <= 1e-12 * np.abs(w[:-1])), k
 
 
 class TestSweeps:
