@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 bench/simulators.py
 
-Uses only API that predates the lock-step coupling, so the same command
-times an older checkout too (point PYTHONPATH at its src/). Each value is
+Calls run_coupling(config, n), which reads the balk state from the
+config's strategy; checkouts before that signature took n0 as a third
+argument, so time those with the argument added. Each value is
 the median over 5 repeats of the mean seconds per call (see
 delay_kernel.seconds).
 - run_coupling.n0_5: constant rate 2, lambda = 1.5, pure threshold 5, n = 2,
@@ -32,8 +33,8 @@ def main() -> dict:
     coupled = SimConfig(1, 10_000, case, CASE, strategy_from_x(24.0))
     sojourn = SimConfig(1, 100_000, case, CASE, strategy_from_x(25.5))
     rows = {
-        "run_coupling.n0_5.s": seconds(lambda: run_coupling(small, 2, 5)),
-        "run_coupling.case_study_n0_24.s": seconds(lambda: run_coupling(coupled, 12, 24)),
+        "run_coupling.n0_5.s": seconds(lambda: run_coupling(small, 2)),
+        "run_coupling.case_study_n0_24.s": seconds(lambda: run_coupling(coupled, 12)),
         "simulate_sojourn.case_study_n0_26.s": seconds(lambda: simulate_sojourn(sojourn, 12)),
     }
     return {"python": platform.python_version(), "numpy": np.__version__,

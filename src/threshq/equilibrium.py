@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,12 @@ REFINE_POINTS = 63  # interior points per bracket and refinement step
 _EDGE_PROBE = 1e-9  # offset of an interval's left end past an integer
 
 
-@dataclass(frozen=True)
-class CandidateDiagnostic:
+# the fields of a CandidateDiagnostic as the report names them: the JSON keys
+# and the CSV header
+DIAGNOSTIC_KEYS = ("n0", "W_marginal", "lower_bound", "upper_bound", "is_equilibrium")
+
+
+class CandidateDiagnostic(NamedTuple):
     """Equilibrium test record for one pure threshold candidate."""
 
     n0: int
@@ -62,27 +67,9 @@ class EquilibriumReport:
             "mixed_points": list(self.mixed_points),
             "mixed_intervals": [[a, b] for a, b in self.mixed_intervals],
             "range": list(self.candidate_range),
-            "diagnostics": [
-                {
-                    "n0": d.n0,
-                    "W_marginal": d.w_marginal,
-                    "lower_bound": d.lower_bound,
-                    "upper_bound": d.upper_bound,
-                    "is_equilibrium": d.is_equilibrium,
-                }
-                for d in self.diagnostics
-            ],
+            "diagnostics": [dict(zip(DIAGNOSTIC_KEYS, d)) for d in self.diagnostics],
             "scope": "recurrent-class",
         }
-
-    def diagnostics_csv(self) -> str:
-        lines = ["n0,W_marginal,lower_bound,upper_bound,is_equilibrium"]
-        for d in self.diagnostics:
-            lines.append(
-                f"{d.n0},{d.w_marginal:.17g},{d.lower_bound:.17g},"
-                f"{d.upper_bound:.17g},{int(d.is_equilibrium)}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _scan(params: EconomicParams, policy: ServiceRatePolicy) -> range:

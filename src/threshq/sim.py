@@ -52,8 +52,6 @@ class CouplingOutcome:
     ordering predicts t_a <= t_b everywhere.
     """
 
-    n: int
-    n0: int
     t_a: np.ndarray
     t_b: np.ndarray
 
@@ -86,14 +84,13 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     first-step system the analytic solver uses; all replications advance in
     lock-step as vectorized draws.
     """
-    strat = config.strategy
-    n0 = strat.balk_state
+    n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
         raise ValueError(f"arrival state {n} outside [0, {n0}]")
     reps = config.replications
     lam = config.params.arrival_rate
     rng = _generator(config.seed, _STREAM_SOJOURN)
-    pvec = np.append(strat.probs, 0.0)
+    pvec = np.append(config.strategy.probs, 0.0)
     muvec = config.policy.rates(n0 + 1)
     ahead = np.full(reps, n, dtype=np.int64)
     total = np.full(reps, n + 1, dtype=np.int64)
@@ -118,10 +115,10 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     return SojournEstimate(mean, half, reps)
 
 
-def run_coupling(config: SimConfig, n: int, n0: int) -> CouplingOutcome:
+def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
     """Couple system A (n initial customers, labels 1..n) with system B
     (n+1 initial, labels 0..n, label 0 just entered service) under the pure
-    or mixed threshold strategy with balk state n0.
+    or mixed threshold strategy of ``config``, whose balk state is n0.
 
     Both systems share one arrival stream, one unit-mean exponential service
     requirement per customer, and one join-coin per future arrival; each
@@ -131,13 +128,11 @@ def run_coupling(config: SimConfig, n: int, n0: int) -> CouplingOutcome:
     Replications advance in lock-step, in consecutive blocks of at most
     _BLOCK_CELLS // (n0 + 1) drawn from one generator.
     """
-    strat = config.strategy
-    if strat.balk_state != n0:
-        raise ValueError("strategy balk state does not match n0")
+    n0 = config.strategy.balk_state
     if not (1 <= n <= n0 - 1):
         raise ValueError("need 1 <= n <= n0 - 1")
     rng = _generator(config.seed, _STREAM_COUPLING)
-    probs = np.array(strat.probs)  # probs[k] with k present, k = 0..n0
+    probs = np.array(config.strategy.probs)  # probs[k] with k present, k = 0..n0
     mu = config.policy.rates(n0)  # mu[k - 1] with k present
     reps = config.replications
     dep = np.empty((reps, 2, n + 1))
@@ -145,7 +140,7 @@ def run_coupling(config: SimConfig, n: int, n0: int) -> CouplingOutcome:
     for start in range(0, reps, size):
         _couple_block(rng, config.params.arrival_rate, probs, mu, n,
                       np.arange(start, min(start + size, reps)), dep)
-    return CouplingOutcome(n, n0, dep[:, 0, 1:].copy(), dep[:, 1, 1:].copy())
+    return CouplingOutcome(dep[:, 0, 1:].copy(), dep[:, 1, 1:].copy())
 
 
 def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,

@@ -17,13 +17,14 @@ def case_study_params():
     return EconomicParams(3.0, 8.5, 1.0)
 
 
+CASE_STUDY_DOC = {"lambda": 3.0, "reward": 8.5, "wait_cost": 1.0,
+                  "policy": {"T": 23, "mu_low": 2.0, "mu_high": 5.0}}
+
+
 @pytest.fixture
 def case_study_instance(tmp_path):
     path = tmp_path / "case_study.json"
-    path.write_text(json.dumps({
-        "lambda": 3.0, "reward": 8.5, "wait_cost": 1.0,
-        "policy": {"T": 23, "mu_low": 2.0, "mu_high": 5.0},
-    }))
+    path.write_text(json.dumps(CASE_STUDY_DOC))
     return path
 
 

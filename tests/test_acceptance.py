@@ -166,7 +166,7 @@ def test_criterion_6b_pathwise_ordering():
         if strategy.balk_state != n0:
             strategy = strategy_from_x(float(n0))
         cfg = SimConfig(1000 + i, 10_000, EconomicParams(lam, 5.0, 1.0), policy, strategy)
-        total_violations += run_coupling(cfg, n, n0).violation_count
+        total_violations += run_coupling(cfg, n).violation_count
     elapsed = time.perf_counter() - t0
     assert total_violations == 0
     assert elapsed < 120.0

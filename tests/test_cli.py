@@ -129,6 +129,12 @@ class TestEquilibriaCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "no step" in err and err.count("\n") == 1
 
+    def test_mixed_range_reversed_exit_2(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                                 "--mixed-range", "30:24")
+        assert code == 2 and out == ""
+        assert err == "error: bad range '30:24'; expected a <= b\n"
+
     def test_table1_non_finite_reward_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
                                  "--table1", "8,nan")
@@ -144,10 +150,18 @@ class TestEquilibriaCommand:
 
     def test_diagnostics_csv(self, tmp_path, capsys, case_study_instance):
         out_dir = tmp_path / "diag"
-        run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
-                "--out", str(out_dir))
+        _, out, _ = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                            "--out", str(out_dir))
         text = (out_dir / "diagnostics.csv").read_text()
-        assert text.splitlines()[0] == "n0,W_marginal,lower_bound,upper_bound,is_equilibrium"
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert header == ["n0", "W_marginal", "lower_bound", "upper_bound", "is_equilibrium"]
+        diagnostics = json.loads(out)["diagnostics"]
+        assert len(rows) == len(diagnostics) == 27  # the scan 16..42
+        for row, d in zip(rows, diagnostics):
+            assert list(d) == header
+            assert int(row[0]) == d["n0"]
+            assert [float(v) for v in row[1:4]] == [d[k] for k in header[1:4]]
+            assert row[4] == str(int(d["is_equilibrium"]))
 
 
 class TestWorkBudget:
@@ -206,6 +220,11 @@ class TestSimulationInputBoundary:
         ("simulate", ["--n", "1", "--x", "2e7"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "5", "--x", "inf"], "finite"),
         ("verify-coupling", ["--n", "1", "--n0", "20000000"], "over the limit"),
+        ("simulate", ["--n", "1", "--x", "3", "--reps", "1000000000000"], "over the limit"),
+        ("simulate", ["--n", "1", "--x", "3", "--reps", "10000001"], "over the limit"),
+        ("verify-coupling", ["--n", "1", "--n0", "3", "--reps", "1000000000000"],
+         "over the limit"),
+        ("verify-coupling", ["--n", "4", "--n0", "5", "--reps", "2000001"], "over the limit"),
     ])
     def test_exit_2_before_simulating(self, capsys, case_study_instance, no_simulation,
                                       command, args, message):
@@ -258,9 +277,18 @@ class TestSweepCommand:
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
     def test_bad_range_exit_2(self, capsys, case_study_instance):
-        code, _, _ = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
-                             "--kind", "mixed_x", "--range", "nope")
-        assert code == 2
+        for kind, spec in [("mixed_x", "nope"), ("pure_n0", "5:1"), ("mixed_x", "5:1:0.1")]:
+            code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                     "--kind", kind, "--range", spec)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: bad range {spec!r}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, spec", [("pure_n0", "5:5"), ("mixed_x", "5:5:0.1")])
+    def test_equal_range_ends_one_row(self, capsys, case_study_instance, kind, spec):
+        code, out, _ = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                               "--kind", kind, "--range", spec)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["5"]
 
     def test_pure_range_step_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),

@@ -240,8 +240,8 @@ class TestEnumeratePure:
         doc = json.loads(json.dumps(rep.to_json_dict()))
         assert doc["pure"] == [16, 17, 25, 36, 37]
         assert doc["scope"] == "recurrent-class"
-        csv = rep.diagnostics_csv()
-        assert csv.splitlines()[0] == "n0,W_marginal,lower_bound,upper_bound,is_equilibrium"
+        assert [list(d) for d in doc["diagnostics"]] == [list(eq_mod.DIAGNOSTIC_KEYS)] * len(
+            rep.diagnostics)
 
 
 class TestMarginalDelay:

@@ -57,20 +57,20 @@ class TestSimulateSojourn:
 
 class TestRunCoupling:
     def test_zero_violations_constant_rate(self):
-        out = run_coupling(config(seed=3, reps=2000, x=2.0), 1, 2)
+        out = run_coupling(config(seed=3, reps=2000, x=2.0), 1)
         assert out.violation_count == 0
         assert out.max_violation == 0.0
 
     def test_zero_violations_two_rate(self):
         policy = ServiceRatePolicy.two_rate(3, 1.0, 3.0)
         cfg = SimConfig(13, 2000, EconomicParams(2.0, 5.0, 1.0), policy, strategy_from_x(6.0))
-        out = run_coupling(cfg, 3, 6)
+        out = run_coupling(cfg, 3)
         assert out.violation_count == 0
 
     def test_zero_violations_mixed_strategy(self):
         policy = ServiceRatePolicy.two_rate(3, 1.0, 3.0)
         cfg = SimConfig(17, 2000, EconomicParams(2.0, 5.0, 1.0), policy, strategy_from_x(4.6))
-        out = run_coupling(cfg, 2, 5)
+        out = run_coupling(cfg, 2)
         assert out.violation_count == 0
 
     def test_mean_gap_matches_analytic(self):
@@ -78,7 +78,7 @@ class TestRunCoupling:
         params = EconomicParams(2.0, 5.0, 1.0)
         cfg = SimConfig(29, 8000, params, policy, strategy_from_x(5.0))
         n = 3
-        out = run_coupling(cfg, n, 5)
+        out = run_coupling(cfg, n)
         gaps = out.t_b[:, -1] - out.t_a[:, -1]
         assert np.all(gaps >= 0.0)
         table = solve_delay_table(policy, strategy_from_x(5.0), params)
@@ -92,7 +92,7 @@ class TestRunCoupling:
         policy = ServiceRatePolicy.two_rate(3, 1.0, 3.0)
         params = EconomicParams(2.0, 5.0, 1.0)
         strategy = strategy_from_x(x)
-        out = run_coupling(SimConfig(31, 8000, params, policy, strategy), n, strategy.balk_state)
+        out = run_coupling(SimConfig(31, 8000, params, policy, strategy), n)
         table = solve_delay_table(policy, strategy, params)
         for times, w in ((out.t_a[:, -1], table.w(n - 1, n)), (out.t_b[:, -1], table.w(n, n + 1))):
             se = times.std(ddof=1) / np.sqrt(len(times))
@@ -102,26 +102,24 @@ class TestRunCoupling:
         # 97 replications per block: 1000 replications run in 11 blocks
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 97 * 6)
         cfg = config(seed=12, reps=1000, x=4.5)
-        a = run_coupling(cfg, 2, 5)
-        b = run_coupling(cfg, 2, 5)
+        a = run_coupling(cfg, 2)
+        b = run_coupling(cfg, 2)
         assert np.array_equal(a.t_a, b.t_a) and np.array_equal(a.t_b, b.t_b)
         assert a.violation_count == 0
 
     def test_deterministic_departure_times(self):
         cfg = config(seed=8, reps=1, x=3.0)
-        a = run_coupling(cfg, 2, 3)
-        b = run_coupling(cfg, 2, 3)
+        a = run_coupling(cfg, 2)
+        b = run_coupling(cfg, 2)
         assert np.array_equal(a.t_a, b.t_a) and np.array_equal(a.t_b, b.t_b)
         # FCFS: labels leave each system in order
         assert np.all(np.diff(a.t_a, axis=1) > 0.0) and np.all(np.diff(a.t_b, axis=1) > 0.0)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            run_coupling(config(x=3.0), 0, 3)
+            run_coupling(config(x=3.0), 0)
         with pytest.raises(ValueError):
-            run_coupling(config(x=3.0), 3, 3)
-        with pytest.raises(ValueError):
-            run_coupling(config(x=3.0), 1, 4)  # strategy balk state mismatch
+            run_coupling(config(x=3.0), 3)
 
     def test_replications_validated(self):
         with pytest.raises(ValueError):
