@@ -9,6 +9,8 @@ the median over 5 repeats of the mean seconds per call (see
 delay_kernel.seconds).
 - run_coupling.n0_5: constant rate 2, lambda = 1.5, pure threshold 5, n = 2,
   10^4 replications.
+- run_coupling.n0_200_n_2: as n0_5 under the pure threshold 200, so n is
+  far below n0.
 - run_coupling.case_study_n0_24: the case study (T = 23, rates 2 and 5,
   lambda = 3) under the pure threshold 24, n = 12, 10^4 replications.
 - simulate_sojourn.case_study_n0_26: the case study under x = 25.5 (balk
@@ -30,10 +32,13 @@ def main() -> dict:
     case = EconomicParams(3.0, 8.5, 1.0)
     small = SimConfig(1, 10_000, EconomicParams(1.5, 5.0, 1.0),
                       ServiceRatePolicy.constant(2.0), strategy_from_x(5.0))
+    wide = SimConfig(1, 10_000, EconomicParams(1.5, 5.0, 1.0),
+                     ServiceRatePolicy.constant(2.0), strategy_from_x(200.0))
     coupled = SimConfig(1, 10_000, case, CASE, strategy_from_x(24.0))
     sojourn = SimConfig(1, 100_000, case, CASE, strategy_from_x(25.5))
     rows = {
         "run_coupling.n0_5.s": seconds(lambda: run_coupling(small, 2)),
+        "run_coupling.n0_200_n_2.s": seconds(lambda: run_coupling(wide, 2)),
         "run_coupling.case_study_n0_24.s": seconds(lambda: run_coupling(coupled, 12)),
         "simulate_sojourn.case_study_n0_26.s": seconds(lambda: simulate_sojourn(sojourn, 12)),
     }

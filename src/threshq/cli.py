@@ -79,7 +79,7 @@ def _write(outdir: str | None, name: str, text: str) -> None:
 def _report(outdir: str | None, name: str, row: dict, line: dict) -> None:
     """Print ``line`` as k=v pairs; with --out, also write ``row`` as a one-row CSV."""
     print(" ".join(f"{k}={_cell(v)}" for k, v in line.items()))
-    if outdir:
+    if outdir is not None:
         _write(outdir, name, _csv(row.keys(), [row.values()]))
 
 
@@ -102,9 +102,9 @@ def cmd_equilibria(args, params, policy) -> int:
         rewards = [_finite(r, "--table1 reward") for r in args.table1.split(",") if r.strip()]
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
-        # the scan of reward R ends at floor(R / C * M + TOL_EQ)
-        top = max(rewards, default=0.0) / params.wait_cost * policy.max_rate
-        _check_work(top + eq_mod.TOL_EQ, "r_tilde * M")
+        # the largest reward has the longest scan
+        widest = EconomicParams(params.arrival_rate, max(rewards, default=0.0), params.wait_cost)
+        delay_mod.check_table_size(eq_mod._scan(widest, policy).stop - 1)
         T = policy.threshold_form[0]
         rows = []
         for R in rewards:
@@ -118,7 +118,7 @@ def cmd_equilibria(args, params, policy) -> int:
     mixed = _parse_range(args.mixed_range) if args.mixed_range else None
     if mixed and mixed[2] is not None:
         raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
-    top = params.r_tilde * policy.max_rate + eq_mod.TOL_EQ
+    top = eq_mod._scan(params, policy).stop - 1
     _check_work(max(top, mixed[1]) if mixed else top, "r_tilde * M")
     report = eq_mod.enumerate_pure_equilibria(params, policy)
     if mixed:
@@ -162,7 +162,7 @@ def cmd_simulate(args, params, policy) -> int:
 
 def cmd_verify_coupling(args, params, policy) -> int:
     x = args.x if args.x is not None else float(args.n0)
-    # ceil(x) is the balk state, and so the width of the coupling's queues
+    # ceil(x) is the balk state, held to the budget of every other command
     _check_work(x, "x")
     _check_cells(args.reps * (args.n + 1), "--reps x (n + 1)")
     strategy = strategy_from_x(x)
@@ -222,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.out = args.out or None  # an empty --out is absent
     try:
         params, policy = load_instance(args.instance)
         return args.func(args, params, policy)

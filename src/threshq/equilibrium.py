@@ -77,6 +77,8 @@ def _scan(params: EconomicParams, policy: ServiceRatePolicy) -> range:
     1/mu_{n0+1} <= 1/mu_1 give n0 >= r_tilde mu_1 - 1, and W(n0-1, n0) >= n0/M
     gives n0 <= r_tilde M."""
     r = params.r_tilde
+    if not math.isfinite(r * policy.max_rate):
+        raise ValueError("r_tilde * M must be finite")
     return range(max(math.ceil(r * policy.rate_at(1) - 1.0 - TOL_EQ), 0),
                  math.floor(r * policy.max_rate + TOL_EQ) + 1)
 

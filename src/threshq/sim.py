@@ -4,8 +4,9 @@ Each call draws from one counter-based (Philox) generator keyed by (seed,
 stream), so identical configs give bit-identical output. Both simulators
 advance all live replications in lock-step, one vectorized event per
 replication per step, and drop a replication once it is finished. In the
-coupling, the two systems read the same draw for each arrival, join coin
-and service requirement.
+coupling, the two systems read the same draw for each arrival and join
+coin, and the same service requirement for each initial customer; only
+those are ever served, so each system tracks just the one in service.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
 
 _STREAM_SOJOURN = 0
 _STREAM_COUPLING = 1
-# replications x (n0 + 1) per coupling block; larger runs are split into
-# consecutive blocks, so a coupling's state stays a few MB whatever its size
+# an upper bound on the requirements a coupling block holds: a replication
+# holds its n + 1 <= n0 initial ones, and a block has _BLOCK_CELLS // (n0 + 1)
+# replications, so a coupling's state stays a few MB whatever its size
 _BLOCK_CELLS = 1 << 18
 
 
@@ -121,11 +123,12 @@ def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
     or mixed threshold strategy of ``config``, whose balk state is n0.
 
     Both systems share one arrival stream, one unit-mean exponential service
-    requirement per customer, and one join-coin per future arrival; each
-    requirement depletes at the state-dependent rate, so service durations
-    follow the path. Simultaneous events are ordered departure from A, then
-    from B, then the arrival. A system stops once its label n has left.
-    Replications advance in lock-step, in consecutive blocks of at most
+    requirement per initial customer, and one join-coin per future arrival;
+    each requirement depletes at the state-dependent rate, so service
+    durations follow the path. Simultaneous events are ordered departure from
+    A, then from B, then the arrival. A system stops once its label n has
+    left, so no joiner, queued behind it, is ever served. Replications
+    advance in lock-step, in consecutive blocks of at most
     _BLOCK_CELLS // (n0 + 1) drawn from one generator.
     """
     n0 = config.strategy.balk_state
@@ -149,47 +152,39 @@ def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: n
     dep[r, s, j], the departure time of label j from system s (A = 0, B = 1).
 
     Labels follow from FCFS order: the k-th departure from system s is label
-    k - s. Each system keeps a ring buffer of remaining requirements, width
-    n0 since at most n0 are ever present, with its head at slot
-    (departures mod n0). Finished replications are dropped after each step.
+    k - s. A joiner queues behind label n, and a system stops once label n
+    has left, so only initial customers are served: each system tracks the
+    remaining requirement of the one in service, and after d departures
+    serves label d + 1 - s. Finished replications are dropped after each step.
     """
-    n0 = len(mu)
     k = len(rows)
     goal = np.array([n, n + 1])  # departures after which label n has left
-    rem = np.zeros((k, 2, n0))
     req = rng.exponential(1.0, (k, n + 1))  # S_0..S_n; A holds S_1..S_n
-    rem[:, 0, :n] = req[:, 1:]
-    rem[:, 1, :n + 1] = req
+    left = req[:, 1::-1].copy()  # A serves S_1 first, B serves S_0
     d = np.zeros((k, 2), dtype=np.int64)
     size = np.tile(goal, (k, 1))  # A starts with n present, B with n + 1
     t = np.zeros(k)
     nxt = rng.exponential(1.0 / lam, k)
-    systems = np.arange(2)
     while len(rows):
-        live = np.arange(len(rows))
-        head = (live[:, None], systems, d % n0)
         done = d == goal
         rate = mu[size - 1]  # a system not done holds label n, so size >= 1
-        left = rem[head]
         times = np.column_stack((np.where(done, np.inf, t[:, None] + left / rate), nxt))
         ev = times.argmin(axis=1)  # the first minimum: A, then B, then the arrival
-        now = times[live, ev]
-        rem[head] = left - rate * (now - t)[:, None]
+        now = times.min(axis=1)
+        left -= rate * (now - t)[:, None]
         t = now
         for s in (0, 1):
             i = np.nonzero(ev == s)[0]
             d[i, s] += 1
             size[i, s] -= 1
             dep[rows[i], s, d[i, s] - s] = t[i]
+            left[i, s] = req[i, np.minimum(d[i, s] + 1 - s, n)]
         i = np.nonzero(ev == 2)[0]
         coin = rng.random(len(i))
-        req = rng.exponential(1.0, len(i))
+        rng.exponential(1.0, len(i))  # a joiner is never served; drawn so later draws keep their place
         nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
-        join = ~done[i] & (coin[:, None] < probs[size[i]])
-        j, s = np.nonzero(join)
-        r = i[j]
-        rem[r, s, (d[r, s] + size[r, s]) % n0] = req[j]
-        size[r, s] += 1
+        size[i] += ~done[i] & (coin[:, None] < probs[size[i]])
         keep = np.any(d != goal, axis=1)
         if not keep.all():
-            rows, rem, d, size, t, nxt = (a[keep] for a in (rows, rem, d, size, t, nxt))
+            rows, req, left, d, size, t, nxt = (
+                a[keep] for a in (rows, req, left, d, size, t, nxt))

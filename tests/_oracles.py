@@ -8,7 +8,10 @@ directly with the constant-low-rate closed forms; the best-response scan
 applies the definition of a pure equilibrium to dense solves; the grid loop
 builds the mixed sweep's grid one point at a time; the grid search finds
 mixed roots by probing each unit interval and bisecting every sign change,
-without assuming that w is monotone there.
+without assuming that w is monotone there; the ring-buffer coupling block
+stores every customer's requirement, joiners included, in an n0-wide ring
+per system and replaces ``threshq.sim._couple_block`` when a test patches
+it in.
 """
 from __future__ import annotations
 
@@ -212,3 +215,55 @@ def grid_mixed_equilibria(params, policy, x_min, x_max):
         if fs[-1] == 0.0 and keep(hi):
             points.append(hi)
     return sorted(points), intervals
+
+
+def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,
+                      n: int, rows: np.ndarray, dep: np.ndarray) -> None:
+    """Run replications ``rows`` until label n has left both systems; write
+    dep[r, s, j], the departure time of label j from system s (A = 0, B = 1).
+
+    Labels follow from FCFS order: the k-th departure from system s is label
+    k - s. Each system keeps a ring buffer of remaining requirements, width
+    n0 since at most n0 are ever present, with its head at slot
+    (departures mod n0). Finished replications are dropped after each step.
+    """
+    n0 = len(mu)
+    k = len(rows)
+    goal = np.array([n, n + 1])  # departures after which label n has left
+    rem = np.zeros((k, 2, n0))
+    req = rng.exponential(1.0, (k, n + 1))  # S_0..S_n; A holds S_1..S_n
+    rem[:, 0, :n] = req[:, 1:]
+    rem[:, 1, :n + 1] = req
+    d = np.zeros((k, 2), dtype=np.int64)
+    size = np.tile(goal, (k, 1))  # A starts with n present, B with n + 1
+    t = np.zeros(k)
+    nxt = rng.exponential(1.0 / lam, k)
+    systems = np.arange(2)
+    while len(rows):
+        live = np.arange(len(rows))
+        head = (live[:, None], systems, d % n0)
+        done = d == goal
+        rate = mu[size - 1]  # a system not done holds label n, so size >= 1
+        left = rem[head]
+        times = np.column_stack((np.where(done, np.inf, t[:, None] + left / rate), nxt))
+        ev = times.argmin(axis=1)  # the first minimum: A, then B, then the arrival
+        now = times[live, ev]
+        rem[head] = left - rate * (now - t)[:, None]
+        t = now
+        for s in (0, 1):
+            i = np.nonzero(ev == s)[0]
+            d[i, s] += 1
+            size[i, s] -= 1
+            dep[rows[i], s, d[i, s] - s] = t[i]
+        i = np.nonzero(ev == 2)[0]
+        coin = rng.random(len(i))
+        req = rng.exponential(1.0, len(i))
+        nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
+        join = ~done[i] & (coin[:, None] < probs[size[i]])
+        j, s = np.nonzero(join)
+        r = i[j]
+        rem[r, s, (d[r, s] + size[r, s]) % n0] = req[j]
+        size[r, s] += 1
+        keep = np.any(d != goal, axis=1)
+        if not keep.all():
+            rows, rem, d, size, t, nxt = (a[keep] for a in (rows, rem, d, size, t, nxt))

@@ -164,6 +164,57 @@ class TestEquilibriaCommand:
             assert row[4] == str(int(d["is_equilibrium"]))
 
 
+class TestScanEdge:
+    """r_tilde * M = 3161 exactly: the scan ends at floor(r_tilde * M + 1e-9)
+    = 3161, whose full table is within the cell budget, so the command runs."""
+
+    def test_equilibria_at_budget_edge(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": 3161.0, "wait_cost": 1.0,
+                                    "policy": {"prefix": [], "tail": 1.0}}))
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["pure"] == [3160, 3161]
+
+    def test_table1_at_budget_edge(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": 1.0, "wait_cost": 1.0,
+                                    "policy": {"T": 1, "mu_low": 0.999, "mu_high": 1.0}}))
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(path), "--table1", "3161")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "3161,,3160;3161,3156.84,3161"
+
+
+    @pytest.mark.parametrize("reward, wait_cost, extra", [
+        (1e300, 1e-300, []), (1.0, 1.0, ["--table1", "1e308"])])
+    def test_overflowing_r_tilde_m_exit_2(self, tmp_path, capsys, reward, wait_cost, extra):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": reward, "wait_cost": wait_cost,
+                                    "policy": {"T": 1, "mu_low": 5.0, "mu_high": 10.0}}))
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(path), *extra)
+        assert (code, out, err) == (2, "", "error: r_tilde * M must be finite\n")
+
+
+class TestEmptyOut:
+    """An empty --out is the same as no --out, for every command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["delay", "--x", "4.5"],
+        ["equilibria", "--mixed-range", "24:27"],
+        ["equilibria", "--table1", "8.5,9.1"],
+        ["sweep", "--kind", "pure_n0", "--range", "1:3"],
+        ["simulate", "--n", "2", "--x", "5", "--reps", "50", "--seed", "1"],
+        ["verify-coupling", "--n", "2", "--n0", "5", "--reps", "50", "--seed", "1"],
+    ])
+    def test_same_as_absent(self, tmp_path, monkeypatch, capsys, case_study_instance, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [*argv, "--instance", str(case_study_instance)]
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv, "--out", "") == expected
+        assert list(tmp_path.iterdir()) == [case_study_instance]
+
+
 class TestWorkBudget:
     """A command whose largest balk state has a full table over the cell
     budget exits 2 with one line before any solve starts."""

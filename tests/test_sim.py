@@ -6,6 +6,9 @@ from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 from threshq import sim
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
+from _oracles import ring_couple_block
+from conftest import random_policy
+
 
 def config(seed=1, reps=4000, lam=1.0, R=5.0, policy=None, x=3.0):
     policy = policy or ServiceRatePolicy.constant(2.0)
@@ -106,6 +109,38 @@ class TestRunCoupling:
         b = run_coupling(cfg, 2)
         assert np.array_equal(a.t_a, b.t_a) and np.array_equal(a.t_b, b.t_b)
         assert a.violation_count == 0
+
+    @staticmethod
+    def random_coupling(rng):
+        """A general policy, a pure or mixed threshold with balk state 2..30,
+        an initial state n and a handful of replications."""
+        n0 = int(rng.integers(2, 31))
+        x = float(n0) if rng.random() < 0.5 else n0 - float(rng.uniform(0.01, 0.99))
+        params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
+        cfg = SimConfig(int(rng.integers(2**63)), int(rng.integers(1, 12)), params,
+                        random_policy(rng, max_prefix=n0 + 1), strategy_from_x(x))
+        return cfg, int(rng.integers(1, n0))
+
+    @staticmethod
+    def assert_matches_ring_buffer(monkeypatch, cfg, n):
+        out = run_coupling(cfg, n)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_couple_block", ring_couple_block)
+            ref = run_coupling(cfg, n)
+        assert np.array_equal(out.t_a, ref.t_a) and np.array_equal(out.t_b, ref.t_b)
+
+    def test_matches_ring_buffer_oracle(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            self.assert_matches_ring_buffer(monkeypatch, *self.random_coupling(rng))
+
+    @pytest.mark.parametrize("x, n", [(30.0, 2), (17.4, 9), (5.0, 4)])
+    def test_matches_ring_buffer_oracle_in_blocks(self, monkeypatch, x, n):
+        # 13 replications per block: 150 replications run in 12 blocks
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 13 * (strategy_from_x(x).balk_state + 1))
+        policy = ServiceRatePolicy((0.5, 0.5, 1.0, 2.5), 3.0)
+        cfg = SimConfig(5, 150, EconomicParams(2.5, 5.0, 1.0), policy, strategy_from_x(x))
+        self.assert_matches_ring_buffer(monkeypatch, cfg, n)
 
     def test_deterministic_departure_times(self):
         cfg = config(seed=8, reps=1, x=3.0)
