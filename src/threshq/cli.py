@@ -53,20 +53,6 @@ def _parse_range(spec: str) -> tuple[float, float, float | None]:
     return a, b, step
 
 
-def _check_work(top: float, what: str) -> None:
-    """Reject a command before any solve when the largest balk state it
-    solves for, ceil(top), has a full table over delay.MAX_TABLE_CELLS."""
-    if not math.isfinite(top):
-        raise InstanceError(f"{what} must be finite")
-    delay_mod.check_table_size(math.ceil(top))
-
-
-def _check_cells(cells: int, what: str) -> None:
-    """Reject a simulation whose arrays would hold over delay.MAX_TABLE_CELLS values."""
-    if cells > delay_mod.MAX_TABLE_CELLS:
-        raise InstanceError(f"{what} is {cells}, over the limit of {delay_mod.MAX_TABLE_CELLS}")
-
-
 def _write(outdir: str | None, name: str, text: str) -> None:
     if outdir is None:
         sys.stdout.write(text)
@@ -84,10 +70,8 @@ def _report(outdir: str | None, name: str, row: dict, line: dict) -> None:
 
 
 def cmd_delay(args, params, policy) -> int:
-    if args.x < 0:
-        raise InstanceError("x must be nonnegative")
     # the balk state is ceil(x); check it before building a strategy that long
-    _check_work(args.x, "x")
+    delay_mod.check_table_size(args.x, "x")
     strategy = strategy_from_x(args.x)
     table = delay_mod.solve_delay_table(policy, strategy, params)
     _write(args.out, "delay_table.csv", table.to_csv())
@@ -104,7 +88,7 @@ def cmd_equilibria(args, params, policy) -> int:
             raise InstanceError("--table1 requires a two-rate threshold policy")
         # the largest reward has the longest scan
         widest = EconomicParams(params.arrival_rate, max(rewards, default=0.0), params.wait_cost)
-        delay_mod.check_table_size(eq_mod._scan(widest, policy).stop - 1)
+        delay_mod.check_table_size(eq_mod._scan(widest, policy).stop - 1, "r_tilde * M")
         T = policy.threshold_form[0]
         rows = []
         for R in rewards:
@@ -119,7 +103,7 @@ def cmd_equilibria(args, params, policy) -> int:
     if mixed and mixed[2] is not None:
         raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
     top = eq_mod._scan(params, policy).stop - 1
-    _check_work(max(top, mixed[1]) if mixed else top, "r_tilde * M")
+    delay_mod.check_table_size(max(top, mixed[1]) if mixed else top, "r_tilde * M")
     report = eq_mod.enumerate_pure_equilibria(params, policy)
     if mixed:
         report.mixed_points, report.mixed_intervals = eq_mod.find_mixed_equilibria(
@@ -132,7 +116,7 @@ def cmd_equilibria(args, params, policy) -> int:
 
 def cmd_sweep(args, params, policy) -> int:
     a, b, step = _parse_range(args.range)
-    _check_work(b, "range end")
+    delay_mod.check_table_size(b, "range end")
     if args.kind == "pure_n0":
         if step is not None or not (a.is_integer() and b.is_integer()):
             raise InstanceError(f"bad --range {args.range!r}; pure_n0 expects integers a:b, "
@@ -147,8 +131,8 @@ def cmd_sweep(args, params, policy) -> int:
 
 
 def cmd_simulate(args, params, policy) -> int:
-    _check_work(args.x, "x")
-    _check_cells(args.reps, "--reps")
+    delay_mod.check_table_size(args.x, "x")
+    delay_mod.check_cells(args.reps, "--reps")
     strategy = strategy_from_x(args.x)
     config = sim_mod.SimConfig(args.seed, args.reps, params, policy, strategy)
     est = sim_mod.simulate_sojourn(config, args.n)
@@ -163,8 +147,8 @@ def cmd_simulate(args, params, policy) -> int:
 def cmd_verify_coupling(args, params, policy) -> int:
     x = args.x if args.x is not None else float(args.n0)
     # ceil(x) is the balk state, held to the budget of every other command
-    _check_work(x, "x")
-    _check_cells(args.reps * (args.n + 1), "--reps x (n + 1)")
+    delay_mod.check_table_size(x, "x")
+    delay_mod.check_cells(args.reps * (args.n + 1), "--reps x (n + 1)")
     strategy = strategy_from_x(x)
     if strategy.balk_state != args.n0:
         raise InstanceError("x inconsistent with n0")

@@ -16,14 +16,18 @@ only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EconomicParams, JoinStrategy, ServiceRatePolicy, threshold_probs
 
-# largest full table (rows x columns) that solve_delay_table allocates: about
-# 80 MB, n0 up to 3161
+# the most values one array may hold, checked by check_cells before it is
+# built: a full delay table, n0 rows x (n0 + 1) columns (about 80 MB, n0 up to
+# 3161); a mixed sweep's grid points x (its balk state ceil(x_hi) + 1); a
+# simulation's replications; and a coupling's replications x (n + 1)
 MAX_TABLE_CELLS = 10**7
 # strategies x padded balk state per batched sweep; larger batches are split,
 # so the memory of a batched solve stays a few MB whatever its size
@@ -55,12 +59,21 @@ class DelayTable:
         return "\n".join(lines) + "\n"
 
 
-def check_table_size(n0: int) -> None:
-    """Raise ValueError when the full table for balk state n0 exceeds MAX_TABLE_CELLS."""
-    cells = max(n0, 1) * (n0 + 1)
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(f"delay table for balk state {n0} has {cells} cells, "
-                         f"over the limit of {MAX_TABLE_CELLS}")
+def check_cells(cells: float, what: str) -> None:
+    """Raise ValueError when ``what`` would hold more than MAX_TABLE_CELLS
+    values, or a NaN or infinite count; the count is shown to six digits."""
+    if not cells <= MAX_TABLE_CELLS:
+        shown = math.inf if cells > sys.float_info.max else cells  # an int past any float
+        raise ValueError(f"{what} needs {shown:.6g} values, over the limit of {MAX_TABLE_CELLS}")
+
+
+def check_table_size(top: float, what: str) -> None:
+    """Raise ValueError unless ``top``, named ``what``, is finite and the full
+    table for balk state ceil(top) is within check_cells."""
+    if not math.isfinite(top):
+        raise ValueError(f"{what} must be finite")
+    n0 = math.ceil(top)
+    check_cells(max(n0, 1) * (n0 + 1.0), f"delay table for balk state {n0:.6g}")
 
 
 def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
@@ -121,7 +134,7 @@ def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
     raises ValueError.
     """
     n0 = strategy.balk_state
-    check_table_size(n0)
+    check_table_size(n0, "balk state")
     W = np.full((max(n0, 1), n0 + 1), np.nan)
     if n0 > 0:
         probs = np.array(strategy.probs)[:, None]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay import MAX_TABLE_CELLS, marginal_delays
+from .delay import check_cells, marginal_delays
 from .model import EconomicParams, ServiceRatePolicy
 
 TOL_EQ = 1e-9       # equality / indifference tolerance, time units
@@ -233,8 +233,8 @@ def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
     """(x, w(x), |w - r_tilde| <= TOL_EQ) on the grid x = x_lo + i*step,
     i = 0, 1, ..., while x <= x_hi + 1e-12, keeping x > 0.
 
-    A grid whose points times its largest balk state ceil(x_hi) + 1 exceed
-    MAX_TABLE_CELLS raises ValueError before the grid is built.
+    Its points times its largest balk state ceil(x_hi) + 1 must pass
+    delay.check_cells, or ValueError is raised before the grid is built.
     """
     if not (step > 0.0 and math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError("sweep needs a finite range and a positive step")
@@ -243,10 +243,8 @@ def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
     # down to top when step is finer than the float spacing there; inf when
     # the grid is absurdly fine
     points = (top - x_lo + 4.0 * math.ulp(top)) / step + 2.0
-    cells = points * (max(math.ceil(x_hi), 0) + 1)
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(f"sweep grid of about {points:.3g} points up to x = {x_hi:g} has "
-                         f"{cells:.3g} cells, over the limit of {MAX_TABLE_CELLS}")
+    check_cells(points * (max(math.ceil(x_hi), 0) + 1),
+                f"sweep grid of about {points:.6g} points up to x = {x_hi:g}")
     xs = x_lo + step * np.arange(max(math.floor(points), 0))
     xs = xs[(xs <= top) & (xs > 0.0)]
     return [(x, w, abs(w - params.r_tilde) <= TOL_EQ)

@@ -143,7 +143,7 @@ def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
     for start in range(0, reps, size):
         _couple_block(rng, config.params.arrival_rate, probs, mu, n,
                       np.arange(start, min(start + size, reps)), dep)
-    return CouplingOutcome(dep[:, 0, 1:].copy(), dep[:, 1, 1:].copy())
+    return CouplingOutcome(dep[:, 0, 1:], dep[:, 1, 1:])
 
 
 def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,

@@ -230,6 +230,7 @@ class TestWorkBudget:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "over the limit" in err and err.count("\n") == 1
+        assert len(err) < 120
 
     def test_equilibria_huge_r_tilde_m(self, tmp_path, capsys, no_solve):
         path = tmp_path / "huge.json"
@@ -244,6 +245,13 @@ class TestWorkBudget:
     def test_pure_sweep_huge_top(self, capsys, case_study_instance, no_solve):
         self.run_refused(capsys, "sweep", "--instance", str(case_study_instance),
                          "--kind", "pure_n0", "--range", "3170:3200")
+
+    def test_table1_huge_reward_one_short_line(self, tmp_path, capsys, no_solve):
+        # balk state ~1e301: the count is shown to six digits, not in full
+        path = tmp_path / "two_rate.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": 1.0, "wait_cost": 1.0,
+                                    "policy": {"T": 1, "mu_low": 0.5, "mu_high": 10.0}}))
+        self.run_refused(capsys, "equilibria", "--instance", str(path), "--table1=-1,1e300")
 
     def test_mixed_sweep_huge_grid(self, capsys, case_study_instance, no_solve):
         # the range end 3000 passes the table check; 3 * 10^12 grid points do not
@@ -282,6 +290,18 @@ class TestSimulationInputBoundary:
         code, out, err = run_cli(capsys, command, "--instance", str(case_study_instance), *args)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("delay", []),
+    ("simulate", ["--n", "1"]),
+    ("verify-coupling", ["--n", "1", "--n0", "3"]),
+])
+def test_negative_x_exit_2(capsys, case_study_instance, command, args):
+    code, out, err = run_cli(capsys, command, "--instance", str(case_study_instance),
+                             *args, "--x", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nonnegative" in err and err.count("\n") == 1
 
 
 class TestSweepCommand:

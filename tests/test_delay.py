@@ -205,6 +205,25 @@ class TestWavefrontKernel:
         assert 300 * 301 * 100 < delay.MAX_TABLE_CELLS
 
 
+@pytest.mark.parametrize("cells, shown", [
+    (delay.MAX_TABLE_CELLS + 1, "1e+07"), (float("nan"), "nan"), (float("inf"), "inf"),
+    (10**400, "inf"), (3e12, "3e+12")], ids=["just_over", "nan", "inf", "int_past_float", "3e12"])
+def test_check_cells_over_limit(cells, shown):
+    with pytest.raises(ValueError) as exc:
+        delay.check_cells(cells, "grid")
+    assert str(exc.value) == f"grid needs {shown} values, over the limit of 10000000"
+
+
+def test_check_cells_at_limit_and_table_size():
+    delay.check_cells(delay.MAX_TABLE_CELLS, "grid")
+    delay.check_table_size(3161, "x")  # 3161 x 3162 cells
+    with pytest.raises(ValueError,
+                       match=r"^delay table for balk state 3162 needs 1.00014e\+07 values"):
+        delay.check_table_size(3161.5, "x")
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        delay.check_table_size(float("nan"), "x")
+
+
 class TestArrivalDelay:
     def test_balk_state_branch(self, small_case):
         policy, strategy, params = small_case
