@@ -2,10 +2,7 @@
 
     PYTHONPATH=src python3 bench/simulators.py
 
-Calls run_coupling(config, n), which reads the balk state from the
-config's strategy; checkouts before that signature took n0 as a third
-argument, so time those with the argument added. Each value is
-the median over 5 repeats of the mean seconds per call (see
+Each value is the median over 5 repeats of the mean seconds per call (see
 delay_kernel.seconds).
 - run_coupling.n0_5: constant rate 2, lambda = 1.5, pure threshold 5, n = 2,
   10^4 replications.

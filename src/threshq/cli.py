@@ -83,7 +83,7 @@ def cmd_delay(args, params, policy) -> int:
 
 def cmd_equilibria(args, params, policy) -> int:
     if args.table1:
-        rewards = [_finite(r, "--table1 reward") for r in args.table1.split(",") if r.strip()]
+        rewards = [_finite(float(r), "--table1 reward") for r in args.table1.split(",") if r.strip()]
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
         # the largest reward has the longest scan

@@ -150,8 +150,14 @@ _TWO_RATE_KEYS = {"T", "mu_low", "mu_high"}
 
 
 def _finite(value, name: str) -> float:
-    """float(value), rejecting NaN and infinities (json accepts both)."""
-    x = float(value)
+    """A JSON number (an int or float, not a bool) as a float, rejecting NaN,
+    infinities and integers past any float (json accepts all three)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past any float
+        x = math.inf if value > 0 else -math.inf
     if not math.isfinite(x):
         raise InstanceError(f"{name} must be a finite number, got {x!r}")
     return x
@@ -167,12 +173,7 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
     missing = _TOP_KEYS - set(doc)
     if missing:
         raise InstanceError(f"missing instance keys: {sorted(missing)}")
-    try:
-        params = EconomicParams(*(_finite(doc[k], k) for k in ("lambda", "reward", "wait_cost")))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
-        raise InstanceError(f"bad economic parameters: {exc}") from None
+    params = EconomicParams(*(_finite(doc[k], k) for k in ("lambda", "reward", "wait_cost")))
     pol = doc["policy"]
     if not isinstance(pol, dict):
         raise InstanceError("policy must be a JSON object")
@@ -187,6 +188,8 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
         T = pol["T"]
         if not isinstance(T, int) or isinstance(T, bool):
             raise InstanceError("policy T must be an integer")
+        from .delay import check_cells  # delay imports this module
+        check_cells(T, "policy T")  # the prefix holds T rates
         policy = ServiceRatePolicy.two_rate(T, _finite(pol["mu_low"], "policy mu_low"),
                                             _finite(pol["mu_high"], "policy mu_high"))
     else:

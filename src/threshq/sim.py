@@ -2,11 +2,12 @@
 
 Each call draws from one counter-based (Philox) generator keyed by (seed,
 stream), so identical configs give bit-identical output. Both simulators
-advance all live replications in lock-step, one vectorized event per
-replication per step, and drop a replication once it is finished. In the
-coupling, the two systems read the same draw for each arrival and join
-coin, and the same service requirement for each initial customer; only
-those are ever served, so each system tracks just the one in service.
+advance their live replications in lock-step, one vectorized event per
+replication per step; they keep arrays of live replications only, filtered
+after each step, and write a finished replication's results to its own
+row. In the coupling, the two systems read the same draw for each arrival
+and join coin, and the same service requirement for each initial customer;
+only those are ever served, so each system tracks just the one in service.
 """
 from __future__ import annotations
 
@@ -81,36 +82,30 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     present (joining even at the balk state); all future arrivals follow the
     configured strategy. Returns mean and 95% normal-approximation half-width.
 
-    The tagged customer's path is the (ahead, total) jump chain with arrival
-    rate lambda * p_total and service rate mu_total, which is exactly the
-    first-step system the analytic solver uses; all replications advance in
-    lock-step as vectorized draws.
+    The tagged customer's path is the jump chain of (customers ahead, customers
+    present) with arrival rate lambda * p_m and service rate mu_m at m present,
+    exactly the first-step system the analytic solver uses. Live replications
+    advance in lock-step; each finished sojourn is stored in its own row.
     """
     n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
         raise ValueError(f"arrival state {n} outside [0, {n0}]")
     reps = config.replications
-    lam = config.params.arrival_rate
     rng = _generator(config.seed, _STREAM_SOJOURN)
-    pvec = np.append(config.strategy.probs, 0.0)
-    muvec = config.policy.rates(n0 + 1)
-    ahead = np.full(reps, n, dtype=np.int64)
-    total = np.full(reps, n + 1, dtype=np.int64)
-    sojourn = np.zeros(reps)
-    alive = np.ones(reps, dtype=bool)
-    while True:
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        m = total[idx]
-        lp = lam * pvec[m]
-        rate = lp + muvec[m - 1]
-        sojourn[idx] += rng.exponential(1.0, idx.size) / rate
-        arrive = rng.random(idx.size) < lp / rate
-        total[idx] = np.where(arrive, m + 1, m - 1)
-        cur = ahead[idx]
-        ahead[idx] = np.where(arrive, cur, cur - 1)
-        alive[idx[(~arrive) & (cur == 0)]] = False
+    lp = config.params.arrival_rate * np.append(config.strategy.probs, 0.0)[1:]  # [m - 1] at m
+    rate = lp + config.policy.rates(n0 + 1)
+    join = lp / rate
+    rows, t, sojourn = np.arange(reps), np.zeros(reps), np.empty(reps)
+    state = np.full(reps, n)  # m - 1 with m present: the tagged customer and n ahead
+    ahead = np.full(reps, n)
+    while len(rows):
+        t += rng.exponential(1.0, len(rows)) / rate[state]
+        arrive = rng.random(len(rows)) < join[state]
+        state += np.where(arrive, 1, -1)
+        ahead -= ~arrive
+        done = ahead < 0
+        sojourn[rows[done]] = t[done]
+        rows, state, ahead, t = (a[~done] for a in (rows, state, ahead, t))
     mean = float(np.mean(sojourn))
     sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
     half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")

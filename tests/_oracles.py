@@ -11,7 +11,8 @@ mixed roots by probing each unit interval and bisecting every sign change,
 without assuming that w is monotone there; the ring-buffer coupling block
 stores every customer's requirement, joiners included, in an n0-wide ring
 per system and replaces ``threshq.sim._couple_block`` when a test patches
-it in.
+it in; the masked sojourn loop keeps every replication in full-size arrays
+behind an alive mask and re-indexes them all at every step.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from threshq.delay import marginal_delays
 from threshq.model import strategy_from_x
+from threshq.sim import _STREAM_SOJOURN, SimConfig, SojournEstimate, _generator
 
 
 def dense_delay_solve(policy, strategy, params):
@@ -267,3 +269,39 @@ def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, m
         keep = np.any(d != goal, axis=1)
         if not keep.all():
             rows, rem, d, size, t, nxt = (a[keep] for a in (rows, rem, d, size, t, nxt))
+
+
+def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
+    """``threshq.sim.simulate_sojourn`` as a mask over all replications: each
+    step gathers the live ones with ``np.nonzero(alive)``, recomputes their
+    rates from the state, and scatters the results back into full-size arrays.
+    Same draws in the same order, so it agrees with the library bit for bit."""
+    n0 = config.strategy.balk_state
+    if not (0 <= n <= n0):
+        raise ValueError(f"arrival state {n} outside [0, {n0}]")
+    reps = config.replications
+    lam = config.params.arrival_rate
+    rng = _generator(config.seed, _STREAM_SOJOURN)
+    pvec = np.append(config.strategy.probs, 0.0)
+    muvec = config.policy.rates(n0 + 1)
+    ahead = np.full(reps, n, dtype=np.int64)
+    total = np.full(reps, n + 1, dtype=np.int64)
+    sojourn = np.zeros(reps)
+    alive = np.ones(reps, dtype=bool)
+    while True:
+        idx = np.nonzero(alive)[0]
+        if idx.size == 0:
+            break
+        m = total[idx]
+        lp = lam * pvec[m]
+        rate = lp + muvec[m - 1]
+        sojourn[idx] += rng.exponential(1.0, idx.size) / rate
+        arrive = rng.random(idx.size) < lp / rate
+        total[idx] = np.where(arrive, m + 1, m - 1)
+        cur = ahead[idx]
+        ahead[idx] = np.where(arrive, cur, cur - 1)
+        alive[idx[(~arrive) & (cur == 0)]] = False
+    mean = float(np.mean(sojourn))
+    sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
+    half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")
+    return SojournEstimate(mean, half, reps)

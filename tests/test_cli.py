@@ -81,6 +81,24 @@ class TestDelayCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda", True), ("reward", "8.5"), ("prefix", "1.5"), ("lambda", 10**400),
+        ("prefix", 10**400), ("T", 10**400)])
+    def test_bad_instance_number_exit_2(self, tmp_path, capsys, field, value):
+        doc = {"lambda": 3.0, "reward": 8.5, "wait_cost": 1.0,
+               "policy": {"prefix": [1.0], "tail": 2.0}}
+        if field == "prefix":
+            doc["policy"]["prefix"] = [value]
+        elif field == "T":
+            doc["policy"] = {"T": value, "mu_low": 2.0, "mu_high": 5.0}
+        else:
+            doc[field] = value
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "delay", "--instance", str(path), "--x", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
     def test_huge_x_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "delay", "--instance", str(case_study_instance),
                                  "--x", "1e7")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from threshq.delay import MAX_TABLE_CELLS
 from threshq.model import (
     EconomicParams,
     InstanceError,
@@ -208,6 +209,63 @@ class TestParseInstance:
     def test_round_trips_through_json(self):
         params, policy = parse_instance(json.loads(json.dumps(self.good())))
         assert policy.rate_at(24) == 5.0
+
+    def test_bool_lambda_rejected(self):
+        doc = self.good()
+        doc["lambda"] = True
+        with pytest.raises(InstanceError, match="lambda must be a number, got bool"):
+            parse_instance(doc)
+
+    def test_string_reward_rejected(self):
+        doc = self.good()
+        doc["reward"] = "8.5"
+        with pytest.raises(InstanceError, match="reward must be a number, got str"):
+            parse_instance(doc)
+
+    def test_string_prefix_rate_rejected(self):
+        doc = self.good()
+        doc["policy"] = {"prefix": ["1.5"], "tail": 2.0}
+        with pytest.raises(InstanceError, match="prefix rate must be a number, got str"):
+            parse_instance(doc)
+
+    def test_null_tail_rejected(self):
+        doc = self.good()
+        doc["policy"] = {"prefix": [], "tail": None}
+        with pytest.raises(InstanceError, match="tail must be a number, got NoneType"):
+            parse_instance(doc)
+
+    def test_bool_T_rejected(self):
+        doc = self.good()
+        doc["policy"]["T"] = True
+        with pytest.raises(InstanceError, match="T must be an integer"):
+            parse_instance(doc)
+
+    @pytest.mark.parametrize("sign, shown", [(1, "inf"), (-1, "-inf")])
+    def test_integer_past_any_float_rejected(self, sign, shown):
+        doc = self.good()
+        doc["lambda"] = sign * 10**400
+        with pytest.raises(InstanceError, match=f"lambda must be a finite number, got {shown}"):
+            parse_instance(doc)
+
+    def test_prefix_rate_past_any_float_rejected(self):
+        doc = self.good()
+        doc["policy"] = {"prefix": [10**400], "tail": 2.0}
+        with pytest.raises(InstanceError, match="prefix rate must be a finite number, got inf"):
+            parse_instance(doc)
+
+    @pytest.mark.parametrize("T, shown", [(10**400, "inf"), (MAX_TABLE_CELLS + 1, "1e\\+07")])
+    def test_T_over_the_limit_rejected(self, T, shown):
+        # the prefix is an array of T rates, held to the limit of every other array
+        doc = self.good()
+        doc["policy"]["T"] = T
+        with pytest.raises(ValueError, match=f"policy T needs {shown} values, over the limit"):
+            parse_instance(doc)
+
+    def test_integers_accepted_as_numbers(self):
+        doc = {"lambda": 3, "reward": 17, "wait_cost": 2,
+               "policy": {"T": 23, "mu_low": 2, "mu_high": 5}}
+        params, policy = parse_instance(doc)
+        assert params.r_tilde == 8.5 and policy.threshold_form == (23, 2.0, 5.0)
 
 
 class TestPackage:

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from threshq.delay import arrival_delay, solve_delay_table
-from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
+from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 from threshq import sim
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
-from _oracles import ring_couple_block
+from _oracles import masked_simulate_sojourn, ring_couple_block
 from conftest import random_policy
 
 
@@ -56,6 +58,31 @@ class TestSimulateSojourn:
     def test_state_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             simulate_sojourn(config(x=3.0), 4)
+
+    def test_matches_masked_oracle(self):
+        # every combination twice: general or two-rate policy; pure, mixed,
+        # 0 < x < 1 or general strategy; n = 0, n = n0 or between; 1, 2 or
+        # 3000 replications
+        rng = np.random.default_rng(2026)
+        cases = itertools.product((False, True), ("pure", "mixed", "below_1", "general"),
+                                  ("empty", "balk", "between"), (1, 2, 3000))
+        for two_rate, kind, where, reps in list(cases) * 2:
+            n0 = 1 if kind == "below_1" else int(rng.integers(1, 31))
+            if kind == "general":
+                strategy = JoinStrategy(tuple(rng.uniform(0.05, 1.0, n0)) + (0.0,))
+            else:
+                frac = 0.0 if kind == "pure" else float(rng.uniform(0.01, 0.99))
+                strategy = strategy_from_x(n0 - frac)
+            if two_rate:
+                low = float(rng.uniform(0.3, 3.0))
+                policy = ServiceRatePolicy.two_rate(int(rng.integers(1, n0 + 2)), low,
+                                                    low + float(rng.uniform(0.1, 3.0)))
+            else:
+                policy = random_policy(rng, max_prefix=n0 + 1)
+            n = {"empty": 0, "balk": n0, "between": int(rng.integers(0, n0 + 1))}[where]
+            params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
+            cfg = SimConfig(int(rng.integers(2**63)), reps, params, policy, strategy)
+            assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
 
 
 class TestRunCoupling:
