@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,9 +200,15 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
 
 def load_instance(path) -> tuple[EconomicParams, ServiceRatePolicy]:
     """Load and validate an instance JSON file."""
+    def json_int(text: str) -> int:  # json hands over integer literals only
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InstanceError(f"instance file {path} holds an integer of {len(text.lstrip('-'))} "
+                                f"digits, over the limit of {sys.get_int_max_str_digits()}") from None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=json_int)
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -1,13 +1,15 @@
 """Monte Carlo validation: sojourn-time estimation and the two-system coupling.
 
-Each call draws from one counter-based (Philox) generator keyed by (seed,
-stream), so identical configs give bit-identical output. Both simulators
-advance their live replications in lock-step, one vectorized event per
-replication per step; they keep arrays of live replications only, filtered
-after each step, and write a finished replication's results to its own
-row. In the coupling, the two systems read the same draw for each arrival
-and join coin, and the same service requirement for each initial customer;
-only those are ever served, so each system tracks just the one in service.
+Each call draws from one counter-based (Philox) generator keyed by (seed mod
+2**64, stream), so identical configs give bit-identical output. Both
+simulators advance their live replications in lock-step, one vectorized event
+per replication per step; they keep arrays of live replications only,
+filtered after a step where one finished, and write a finished replication's
+results to its own row. A sojourn replication is one int code packing the
+customers ahead and present. In the coupling, the two systems read the same
+draw for each arrival and join coin, and the same service requirement for
+each initial customer; only those are ever served, so each system tracks just
+the one in service.
 """
 from __future__ import annotations
 
@@ -74,7 +76,8 @@ class CouplingOutcome:
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)  # the seed mod 2**64
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
@@ -84,8 +87,10 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
 
     The tagged customer's path is the jump chain of (customers ahead, customers
     present) with arrival rate lambda * p_m and service rate mu_m at m present,
-    exactly the first-step system the analytic solver uses. Live replications
-    advance in lock-step; each finished sojourn is stored in its own row.
+    exactly the first-step system the analytic solver uses. A replication's
+    state is one code ``ahead << shift | (m - 1)``, m - 1 <= n0 < 2**shift: an
+    arrival adds 1, a departure subtracts 2**shift + 1, and the code turns
+    negative once the tagged customer has left, when its sojourn is stored.
     """
     n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
@@ -95,17 +100,18 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     lp = config.params.arrival_rate * np.append(config.strategy.probs, 0.0)[1:]  # [m - 1] at m
     rate = lp + config.policy.rates(n0 + 1)
     join = lp / rate
+    shift = n0.bit_length()
+    mask = (1 << shift) - 1
     rows, t, sojourn = np.arange(reps), np.zeros(reps), np.empty(reps)
-    state = np.full(reps, n)  # m - 1 with m present: the tagged customer and n ahead
-    ahead = np.full(reps, n)
+    code = np.full(reps, n << shift | n)  # n ahead, m = n + 1 present
     while len(rows):
+        state = code & mask  # m - 1 with m present
         t += rng.exponential(1.0, len(rows)) / rate[state]
-        arrive = rng.random(len(rows)) < join[state]
-        state += np.where(arrive, 1, -1)
-        ahead -= ~arrive
-        done = ahead < 0
-        sojourn[rows[done]] = t[done]
-        rows, state, ahead, t = (a[~done] for a in (rows, state, ahead, t))
+        code += (rng.random(len(rows)) < join[state]) * (mask + 3) - (mask + 2)
+        done = code < 0
+        if done.any():
+            sojourn[rows[done]] = t[done]
+            rows, code, t = rows[~done], code[~done], t[~done]
     mean = float(np.mean(sojourn))
     sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
     half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")

@@ -99,6 +99,16 @@ class TestDelayCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
 
+    def test_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
+        # json.load refuses an integer past Python's digit limit for int()
+        path = tmp_path / "long_int.json"
+        path.write_text('{"lambda": 3.0, "reward": 8.5, "wait_cost": 1.0, "policy": '
+                        '{"T": 23, "mu_low": 2.0, "mu_high": ' + "7" * 5000 + "}}")
+        code, out, err = run_cli(capsys, "delay", "--instance", str(path), "--x", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+        assert "digits" in err and "set_int_max_str_digits" not in err
+
     def test_huge_x_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "delay", "--instance", str(case_study_instance),
                                  "--x", "1e7")

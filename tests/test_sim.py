@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,40 @@ class TestSimulateSojourn:
             params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
             cfg = SimConfig(int(rng.integers(2**63)), reps, params, policy, strategy)
             assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
+
+    @pytest.mark.parametrize("n0", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 200])
+    def test_matches_masked_oracle_where_code_width_steps(self, n0):
+        # the packed code's shift is n0.bit_length(): check both sides of each
+        # step, at the first arrival state, the last joining one and the balk state
+        rng = np.random.default_rng(n0)
+        for two_rate, mixed, n in itertools.product((False, True), (False, True),
+                                                    sorted({0, n0 - 1, n0})):
+            frac = float(rng.uniform(0.01, 0.99)) if mixed else 0.0
+            if two_rate:
+                low = float(rng.uniform(0.3, 3.0))
+                policy = ServiceRatePolicy.two_rate(int(rng.integers(1, n0 + 2)), low,
+                                                    low + float(rng.uniform(0.1, 3.0)))
+            else:
+                policy = random_policy(rng, max_prefix=n0 + 1)
+            params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
+            cfg = SimConfig(int(rng.integers(2**63)), 40, params, policy,
+                            strategy_from_x(n0 - frac))
+            assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
+
+    def test_seeds_past_2_63_differ(self):
+        a = simulate_sojourn(config(seed=2**63), 2)
+        b = simulate_sojourn(config(seed=2**63 + 1), 2)
+        assert a.mean != b.mean
+
+    def test_seed_taken_mod_2_64(self):
+        assert simulate_sojourn(config(seed=-1), 2) == simulate_sojourn(config(seed=2**64 - 1), 2)
+
+    @pytest.mark.parametrize("seed", [-5, 2**63, 2**64 + 3])
+    def test_any_seed_draws_without_warning(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_sojourn(config(seed=seed, reps=10), 2)
+            run_coupling(config(seed=seed, reps=10), 1)
 
 
 class TestRunCoupling:
