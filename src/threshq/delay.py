@@ -179,5 +179,5 @@ def arrival_delay(table: DelayTable, policy: ServiceRatePolicy, n: int) -> float
     if n <= n0 - 1:
         return table.w(n, n + 1)
     tail = table.w(n0 - 1, n0) if n0 >= 1 else 0.0
-    return 1.0 / policy.rate_at(n0 + 1) + tail
+    return 1.0 / float(policy.rates(n0 + 1)[n0]) + tail
 

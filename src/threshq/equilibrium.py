@@ -79,7 +79,7 @@ def _scan(params: EconomicParams, policy: ServiceRatePolicy) -> range:
     r = params.r_tilde
     if not math.isfinite(r * policy.max_rate):
         raise ValueError("r_tilde * M must be finite")
-    return range(max(math.ceil(r * policy.rate_at(1) - 1.0 - TOL_EQ), 0),
+    return range(max(math.ceil(r * policy.rates(1)[0] - 1.0 - TOL_EQ), 0),
                  math.floor(r * policy.max_rate + TOL_EQ) + 1)
 
 
@@ -102,16 +102,15 @@ def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> t
     return (float(scan.start), float(scan.stop - 1))
 
 
-def _diagnose(n0: int, w: float, params: EconomicParams,
-              policy: ServiceRatePolicy) -> CandidateDiagnostic:
-    """The two-sided test of pure threshold n0 given w = W(n0-1, n0); both
-    bounds are inclusive within TOL_EQ.
+def _diagnose(n0: int, w: float, params: EconomicParams, mu_next: float) -> CandidateDiagnostic:
+    """The two-sided test of pure threshold n0 given w = W(n0-1, n0) and
+    mu_next = mu_{n0+1}; both bounds are inclusive within TOL_EQ.
 
     n0 = 0 (always balk) is an equilibrium iff r_tilde <= 1/mu_1, which is
     the same two-sided condition with the convention W(-1, 0) = 0.
     """
     r = params.r_tilde
-    lower = r - 1.0 / policy.rate_at(n0 + 1)
+    lower = r - 1.0 / mu_next
     return CandidateDiagnostic(n0, w, lower, r, lower - TOL_EQ <= w <= r + TOL_EQ)
 
 
@@ -149,8 +148,9 @@ def enumerate_pure_equilibria(params: EconomicParams,
     two-sided test alone, whatever the policy.
     """
     scan = _scan(params, policy)
-    diagnostics = [_diagnose(n0, w, params, policy)
-                   for n0, w in zip(scan, marginal_delays(policy, scan, params).tolist())]
+    mus = policy.rates(scan.stop)[scan.start:].tolist()  # mu_{n0+1} per candidate
+    diagnostics = [_diagnose(n0, w, params, mu)
+                   for n0, w, mu in zip(scan, marginal_delays(policy, scan, params).tolist(), mus)]
     return EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
                              candidate_range=pure_candidate_range(params, policy),
                              diagnostics=diagnostics)

@@ -18,33 +18,40 @@ class InstanceError(ValueError):
     """Invalid instance document or parameter set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServiceRatePolicy:
     """Nondecreasing service rate sequence with a constant tail.
 
-    ``prefix`` holds the rates for states 1..K; every state beyond K is
-    served at ``tail_rate``, which is also the supremum M of the sequence.
+    ``prefix`` is a read-only float64 array of the rates for states 1..K;
+    every state beyond K is served at ``max_rate``, which is also the
+    supremum M of the sequence. ``rates(n)`` is the one way to read rates.
     ``threshold_form`` is set when the policy is a two-rate policy
-    (T, mu_low, mu_high): rate mu_low for 1 <= n <= T, mu_high above.
+    (T, mu_low, mu_high): rate mu_low for 1 <= n <= T, mu_high above. Its
+    prefix is a broadcast view of mu_low, one float whatever T. Policies
+    compare by identity.
     """
 
-    prefix: tuple[float, ...]
-    tail_rate: float
+    prefix: np.ndarray
+    max_rate: float
     threshold_form: tuple[int, float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(float(r) for r in self.prefix))
-        object.__setattr__(self, "tail_rate", float(self.tail_rate))
-        if self.tail_rate <= 0.0:
+        prefix = np.asarray(self.prefix, dtype=float)
+        if prefix.flags.writeable:  # share no buffer a caller can still write
+            prefix = prefix.copy()
+            prefix.setflags(write=False)
+        tail = float(self.max_rate)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "max_rate", tail)
+        if not math.isfinite(tail):  # then the NaN-failing tests below refuse any non-finite rate
+            raise InstanceError("tail rate must be finite")
+        if not tail > 0.0:
             raise InstanceError("tail rate must be positive")
-        prev = 0.0
-        for r in self.prefix:
-            if r <= 0.0:
-                raise InstanceError("service rates must be positive")
-            if r < prev:
-                raise InstanceError("service rates must be nondecreasing")
-            prev = r
-        if prev > self.tail_rate:
+        if not (prefix > 0.0).all():
+            raise InstanceError("service rates must be positive")
+        if not (prefix[1:] >= prefix[:-1]).all():
+            raise InstanceError("service rates must be nondecreasing")
+        if not (prefix[-1:] <= tail).all():
             raise InstanceError("prefix rates must not exceed the tail rate")
         if self.threshold_form is not None:
             T, mu_low, mu_high = self.threshold_form
@@ -52,7 +59,7 @@ class ServiceRatePolicy:
                 raise InstanceError("service threshold T must be a positive integer")
             if not (0.0 < mu_low < mu_high):
                 raise InstanceError("two-rate policy needs 0 < mu_low < mu_high")
-            if self.prefix != (float(mu_low),) * T or self.tail_rate != float(mu_high):
+            if not (prefix.shape == (T,) and (prefix == mu_low).all() and tail == mu_high):
                 raise InstanceError("threshold_form inconsistent with rate sequence")
             object.__setattr__(self, "threshold_form", (T, float(mu_low), float(mu_high)))
 
@@ -63,25 +70,13 @@ class ServiceRatePolicy:
     @classmethod
     def two_rate(cls, T: int, mu_low: float, mu_high: float) -> "ServiceRatePolicy":
         """Serve at mu_low while at most T customers are present, else mu_high."""
-        return cls((float(mu_low),) * int(T), float(mu_high), (int(T), float(mu_low), float(mu_high)))
-
-    @property
-    def max_rate(self) -> float:
-        """The supremum M of the rate sequence."""
-        return self.tail_rate
-
-    def rate_at(self, n: int) -> float:
-        """Service rate when n customers are present; defined for n >= 1."""
-        if n < 1:
-            raise ValueError("service rate is undefined with no customers present")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.tail_rate
+        T, mu_low, mu_high = int(T), float(mu_low), float(mu_high)
+        return cls(np.broadcast_to(mu_low, max(T, 0)), mu_high, (T, mu_low, mu_high))
 
     def rates(self, n: int) -> np.ndarray:
         """The rates mu_1..mu_n, with 1..n present: the prefix, then the tail rate repeated."""
         head = self.prefix[:n]
-        return np.concatenate((head, np.full(n - len(head), self.tail_rate)))
+        return np.concatenate((head, np.full(n - len(head), self.max_rate)))
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,7 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
         if not isinstance(T, int) or isinstance(T, bool):
             raise InstanceError("policy T must be an integer")
         from .delay import check_cells  # delay imports this module
-        check_cells(T, "policy T")  # the prefix holds T rates
+        check_cells(T, "policy T")  # the constructor's checks read all T rates
         policy = ServiceRatePolicy.two_rate(T, _finite(pol["mu_low"], "policy mu_low"),
                                             _finite(pol["mu_high"], "policy mu_high"))
     else:
@@ -213,4 +208,7 @@ def load_instance(path) -> tuple[EconomicParams, ServiceRatePolicy]:
         raise InstanceError(f"cannot read instance file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InstanceError(f"instance file is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"instance file {path} is not UTF-8 text "
+                            f"(byte {exc.start}: {exc.reason})") from None
     return parse_instance(doc)

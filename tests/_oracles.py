@@ -25,6 +25,10 @@ from threshq.model import strategy_from_x
 from threshq.sim import _STREAM_SOJOURN, SimConfig, SojournEstimate, _generator
 
 
+def _rate(policy, m):
+    return float(policy.rates(m)[m - 1])  # mu_m, the rate with m present
+
+
 def dense_delay_solve(policy, strategy, params):
     """Solve the W(n, m) system as one dense linear system.
 
@@ -44,7 +48,7 @@ def dense_delay_solve(policy, strategy, params):
     b = np.ones(size)
     for (n, m), i in index.items():
         pm = strategy.probs[m]
-        mum = policy.rate_at(m)
+        mum = _rate(policy, m)
         A[i, i] = lam * pm + mum
         if m < n0:
             A[i, index[(n, m + 1)]] = -lam * pm
@@ -89,7 +93,7 @@ def best_response_equilibria(params, policy, tol=1e-9):
     for n0 in range(math.floor(r * policy.max_rate + tol) + 1):
         W = dense_delay_solve(policy, strategy_from_x(n0), params)
         joins = all(r - W[(n, n + 1)] >= -tol for n in range(n0))
-        at_balk = 1.0 / policy.rate_at(n0 + 1) + (W[(n0 - 1, n0)] if n0 else 0.0)
+        at_balk = 1.0 / _rate(policy, n0 + 1) + (W[(n0 - 1, n0)] if n0 else 0.0)
         if joins and r - at_balk <= tol:
             hits.append(n0)
     return hits
@@ -147,7 +151,7 @@ def loop_delay_solve(policy, strategy, params):
     n0 = strategy.balk_state
     lam = params.arrival_rate
     W = np.full((max(n0, 1), n0 + 1), np.nan)
-    mu = [policy.rate_at(m) for m in range(1, n0 + 1)]  # mu[m-1] = mu_m
+    mu = [_rate(policy, m) for m in range(1, n0 + 1)]  # mu[m-1] = mu_m
     p = strategy.probs
     for n in range(n0):
         for m in range(n0, n, -1):

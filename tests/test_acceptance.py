@@ -129,7 +129,7 @@ def test_criterion_5_delay_bounds():
         table = solve_delay_table(policy, strategy, random_params(rng))
         for n in range(table.n0):
             w = table.w(n, n + 1)
-            if not ((n + 1) / policy.max_rate - 1e-12 <= w <= (n + 1) / policy.rate_at(1) + 1e-12):
+            if not ((n + 1) / policy.max_rate - 1e-12 <= w <= (n + 1) / policy.rates(1)[0] + 1e-12):
                 violations += 1
     assert violations == 0
     report("5 (delay bounds, 1000 instances)")

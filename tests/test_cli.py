@@ -109,6 +109,25 @@ class TestDelayCommand:
         assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
         assert "digits" in err and "set_int_max_str_digits" not in err
 
+    def test_non_utf8_instance_exit_2(self, tmp_path, capsys, case_study_instance):
+        path = tmp_path / "utf16.json"  # starts with the UTF-16 byte order mark ff fe
+        path.write_bytes(case_study_instance.read_text().encode("utf-16"))
+        code, out, err = run_cli(capsys, "delay", "--instance", str(path), "--x", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: instance file ") and str(path) in err and "UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_two_rate_T_at_limit_same_bytes(self, tmp_path, capsys, case_study_instance):
+        # T = 23 and T = 10**7 both serve states 1..4 at mu_low
+        doc = json.loads(case_study_instance.read_text())
+        doc["policy"]["T"] = delay.MAX_TABLE_CELLS
+        path = tmp_path / "T_at_limit.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "delay", "--instance", str(path), "--x", "3")
+        assert code == 0
+        assert (0, out, "") == run_cli(capsys, "delay", "--instance", str(case_study_instance),
+                                       "--x", "3")
+
     def test_huge_x_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "delay", "--instance", str(case_study_instance),
                                  "--x", "1e7")

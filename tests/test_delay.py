@@ -87,7 +87,7 @@ class TestSolveDelayTable:
             t = solve_delay_table(policy, strategy, params)
             for n in range(t.n0):
                 w = t.w(n, n + 1)
-                assert (n + 1) / policy.max_rate - 1e-12 <= w <= (n + 1) / policy.rate_at(1) + 1e-12
+                assert (n + 1) / policy.max_rate - 1e-12 <= w <= (n + 1) / policy.rates(1)[0] + 1e-12
 
     def test_monotone_in_n(self):
         rng = np.random.default_rng(123)
@@ -106,7 +106,7 @@ class TestSolveDelayTable:
             params = random_params(rng)
             t = solve_delay_table(policy, strategy, params)
             n0 = t.n0
-            mu = policy.rate_at(n0)
+            mu = policy.rates(n0)[n0 - 1]
             assert t.w(0, n0) == pytest.approx(1.0 / mu, abs=1e-12)
             for n in range(1, n0):
                 assert t.w(n, n0) == pytest.approx(1.0 / mu + t.w(n - 1, n0 - 1), abs=1e-12)

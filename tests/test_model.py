@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,37 +27,53 @@ def prob(strategy, n):
 class TestServiceRatePolicy:
     def test_two_rate_lookup(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
-        assert pol.rate_at(23) == 2.0
-        assert pol.rate_at(24) == 5.0
-        assert pol.rate_at(1) == 2.0
+        assert pol.rates(24)[[0, 22, 23]].tolist() == [2.0, 2.0, 5.0]
         assert pol.max_rate == 5.0
+        assert pol.prefix.shape == (23,) and not pol.prefix.flags.writeable
 
     def test_constant_lookup(self):
         pol = ServiceRatePolicy.constant(2.0)
-        for n in (1, 5, 100):
-            assert pol.rate_at(n) == 2.0
-
-    def test_rate_at_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceRatePolicy.constant(2.0).rate_at(0)
+        assert pol.rates(100).tolist() == [2.0] * 100
 
     def test_rate_nondecreasing_and_reaches_tail(self):
         pol = ServiceRatePolicy((0.5, 1.0, 1.5), 3.0)
-        rates = [pol.rate_at(n) for n in range(1, 10)]
+        rates = pol.rates(9).tolist()
         assert rates == sorted(rates)
         assert all(r == 3.0 for r in rates[3:])
 
-    @pytest.mark.parametrize("pol", [ServiceRatePolicy((0.5, 1.0, 1.5), 3.0),
-                                     ServiceRatePolicy.two_rate(4, 2.0, 5.0),
-                                     ServiceRatePolicy.constant(2.0)])
-    def test_rates_vector_equals_rate_at(self, pol):
-        # n below, at and above the prefix length
+    @pytest.mark.parametrize("pol, mu", [
+        (ServiceRatePolicy((0.5, 1.0, 1.5), 3.0), [0.5, 1.0, 1.5] + [3.0] * 6),
+        (ServiceRatePolicy.two_rate(4, 2.0, 5.0), [2.0] * 4 + [5.0] * 5),
+        (ServiceRatePolicy.constant(2.0), [2.0] * 9),
+        (ServiceRatePolicy(np.array([1.0, 1.0, 2.0]), 2.0), [1.0, 1.0] + [2.0] * 7),
+        (ServiceRatePolicy.two_rate(MAX_TABLE_CELLS, 2.0, 5.0), [2.0] * 9),
+    ], ids=["prefix", "two_rate", "constant", "array_prefix", "two_rate_T_at_limit"])
+    def test_rates_are_prefix_then_tail(self, pol, mu):
+        """rates(n) lists mu_1..mu_n, for n below, at and above the prefix length."""
         for n in (0, 1, 2, 3, 4, 5, 9):
             rates = pol.rates(n)
             assert rates.dtype == float and rates.shape == (n,)
-            assert rates.tolist() == [pol.rate_at(m) for m in range(1, n + 1)]
+            assert rates.tolist() == mu[:n]
         with pytest.raises(ValueError):
             pol.rates(-1)
+
+    def test_prefix_is_a_private_read_only_copy(self):
+        given = np.array([1.0, 2.0])
+        pol = ServiceRatePolicy(given, 3.0)
+        given[0] = 9.0
+        assert pol.rates(3).tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            pol.prefix[0] = 0.5
+
+    def test_two_rate_policy_is_not_expanded(self):
+        tracemalloc.start()
+        try:
+            pol = ServiceRatePolicy.two_rate(MAX_TABLE_CELLS, 2.0, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pol.threshold_form == (MAX_TABLE_CELLS, 2.0, 5.0)
+        assert peak < 16 * 2**20
 
     def test_decreasing_prefix_rejected(self):
         with pytest.raises(InstanceError):
@@ -67,10 +84,13 @@ class TestServiceRatePolicy:
             ServiceRatePolicy((4.0,), 3.0)
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(InstanceError):
-            ServiceRatePolicy((0.0,), 1.0)
-        with pytest.raises(InstanceError):
-            ServiceRatePolicy.constant(-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InstanceError):
+                ServiceRatePolicy((bad,), 1.0)
+            with pytest.raises(InstanceError):
+                ServiceRatePolicy((), bad)
+            with pytest.raises(InstanceError):
+                ServiceRatePolicy((0.5, bad), 1.0)
 
     def test_threshold_form_must_match_rates(self):
         with pytest.raises(InstanceError):
@@ -186,7 +206,7 @@ class TestParseInstance:
         doc = self.good()
         doc["policy"] = {"prefix": [1.0, 2.0], "tail": 2.0}
         _, policy = parse_instance(doc)
-        assert policy.rate_at(1) == 1.0 and policy.rate_at(3) == 2.0
+        assert policy.rates(3).tolist() == [1.0, 2.0, 2.0]
 
     def test_unknown_top_key_rejected(self):
         doc = self.good()
@@ -208,7 +228,7 @@ class TestParseInstance:
 
     def test_round_trips_through_json(self):
         params, policy = parse_instance(json.loads(json.dumps(self.good())))
-        assert policy.rate_at(24) == 5.0
+        assert policy.rates(24)[23] == 5.0
 
     def test_bool_lambda_rejected(self):
         doc = self.good()
