@@ -15,8 +15,6 @@ from .equilibrium import (
     EquilibriumReport,
     enumerate_pure_equilibria,
     find_mixed_equilibria,
-    marginal_delay,
-    pure_candidate_range,
     sweep_mixed,
     sweep_pure,
     threshold_policy_below_T,
@@ -38,8 +36,6 @@ __all__ = [
     "EquilibriumReport",
     "enumerate_pure_equilibria",
     "find_mixed_equilibria",
-    "marginal_delay",
-    "pure_candidate_range",
     "sweep_mixed",
     "sweep_pure",
     "threshold_policy_below_T",

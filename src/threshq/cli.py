@@ -86,9 +86,9 @@ def cmd_equilibria(args, params, policy) -> int:
         rewards = [_finite(float(r), "--table1 reward") for r in args.table1.split(",") if r.strip()]
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
-        # the largest reward has the longest scan
-        widest = EconomicParams(params.arrival_rate, max(rewards, default=0.0), params.wait_cost)
-        delay_mod.check_table_size(eq_mod._scan(widest, policy).stop - 1, "r_tilde * M")
+        # the largest reward has the longest scan: refuse it before any solve
+        eq_mod.pure_candidates(EconomicParams(params.arrival_rate, max(rewards, default=0.0),
+                                              params.wait_cost), policy)
         T = policy.threshold_form[0]
         rows = []
         for R in rewards:
@@ -100,17 +100,17 @@ def cmd_equilibria(args, params, policy) -> int:
         _write(args.out, "table1.csv", _csv(("R", "below_T", "above_T", "L", "U"), rows))
         return EXIT_OK
     mixed = _parse_range(args.mixed_range) if args.mixed_range else None
-    if mixed and mixed[2] is not None:
-        raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
-    top = eq_mod._scan(params, policy).stop - 1
-    delay_mod.check_table_size(max(top, mixed[1]) if mixed else top, "r_tilde * M")
+    if mixed:
+        if mixed[2] is not None:
+            raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
+        delay_mod.check_table_size(mixed[1], "--mixed-range")
     report = eq_mod.enumerate_pure_equilibria(params, policy)
     if mixed:
         report.mixed_points, report.mixed_intervals = eq_mod.find_mixed_equilibria(
             params, policy, *mixed[:2])
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     if args.out is not None:
-        _write(args.out, "diagnostics.csv", _csv(eq_mod.DIAGNOSTIC_KEYS, report.diagnostics))
+        _write(args.out, "diagnostics.csv", _csv(eq_mod.CandidateDiagnostic._fields, report.diagnostics))
     return EXIT_OK
 
 

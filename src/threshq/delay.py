@@ -59,12 +59,17 @@ class DelayTable:
         return "\n".join(lines) + "\n"
 
 
+def _shown(v: float) -> str:
+    """A count or balk state to 15 significant digits below 10^15, else to six."""
+    return f"{v:.15g}" if v < 1e15 else f"{v:.6g}"
+
+
 def check_cells(cells: float, what: str) -> None:
     """Raise ValueError when ``what`` would hold more than MAX_TABLE_CELLS
-    values, or a NaN or infinite count; the count is shown to six digits."""
+    values, or a NaN or infinite count."""
     if not cells <= MAX_TABLE_CELLS:
         shown = math.inf if cells > sys.float_info.max else cells  # an int past any float
-        raise ValueError(f"{what} needs {shown:.6g} values, over the limit of {MAX_TABLE_CELLS}")
+        raise ValueError(f"{what} needs {_shown(shown)} values, over the limit of {MAX_TABLE_CELLS}")
 
 
 def check_table_size(top: float, what: str) -> None:
@@ -73,7 +78,7 @@ def check_table_size(top: float, what: str) -> None:
     if not math.isfinite(top):
         raise ValueError(f"{what} must be finite")
     n0 = math.ceil(top)
-    check_cells(max(n0, 1) * (n0 + 1.0), f"delay table for balk state {n0:.6g}")
+    check_cells(max(n0, 1) * (n0 + 1.0), f"delay table for balk state {_shown(n0)}")
 
 
 def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,

@@ -3,15 +3,16 @@
 A pure threshold n0 is an equilibrium in the recurrent class iff
 r_tilde - 1/mu_{n0+1} <= W(n0-1, n0) <= r_tilde. The delay bounds
 n0/M <= W(n0-1, n0) <= n0/mu_1 confine such n0 to the integers from
-r_tilde mu_1 - 1 to r_tilde M, so one scan of that range, scored in one
-batched solve, finds them all; the two-rate closed form below the service
-threshold is a corollary the tests cross-check. A mixed threshold x is an
-equilibrium iff the marginal delay w(x) equals r_tilde. On a unit interval
-(k, k+1] only the join probability x - k at state k moves; those joiners
-queue behind the marginal customer, and with nondecreasing rates they can
-only speed its service, so w is nonincreasing there and the interval's two
-ends decide its roots. test_w_nonincreasing_on_unit_intervals in
-tests/test_equilibrium.py checks this on random instances.
+r_tilde mu_1 - 1 to r_tilde M, ``pure_candidates``, so one scan of that
+range, scored in one batched solve, finds them all; the two-rate closed
+form below the service threshold is a corollary the tests cross-check. A
+mixed threshold x is an equilibrium iff the marginal delay w(x) equals
+r_tilde. On a unit interval (k, k+1] only the join probability x - k at
+state k moves; those joiners queue behind the marginal customer, and with
+nondecreasing rates they can only speed its service, so w is
+nonincreasing there and the interval's two ends decide its roots.
+test_w_nonincreasing_on_unit_intervals in tests/test_equilibrium.py checks
+this on random instances.
 """
 from __future__ import annotations
 
@@ -21,27 +22,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay import check_cells, marginal_delays
+from .delay import check_cells, check_table_size, marginal_delays
 from .model import EconomicParams, ServiceRatePolicy
 
-TOL_EQ = 1e-9       # equality / indifference tolerance, time units
+TOL_EQ = 1e-9       # |w - r_tilde| at an equality, an indifference or a mixed root, time units
 TOL_INT = 1e-9      # integrality test for r_tilde * mu_low
-TOL_ROOT = 1e-9     # |w(x) - r_tilde| at a reported mixed equilibrium
 TOL_ROOT_X = 1e-10  # width of a refined mixed-root bracket
 REFINE_POINTS = 63  # interior points per bracket and refinement step
 _EDGE_PROBE = 1e-9  # offset of an interval's left end past an integer
 
 
-# the fields of a CandidateDiagnostic as the report names them: the JSON keys
-# and the CSV header
-DIAGNOSTIC_KEYS = ("n0", "W_marginal", "lower_bound", "upper_bound", "is_equilibrium")
-
-
 class CandidateDiagnostic(NamedTuple):
-    """Equilibrium test record for one pure threshold candidate."""
+    """Equilibrium test record for one pure threshold candidate; its field
+    names are the report's JSON keys and CSV header."""
 
     n0: int
-    w_marginal: float
+    W_marginal: float
     lower_bound: float
     upper_bound: float
     is_equilibrium: bool
@@ -52,7 +48,8 @@ class EquilibriumReport:
     """Classified equilibria plus per-candidate diagnostics.
 
     ``mixed_intervals`` holds continuum cases where every interior x is an
-    equilibrium. Equilibria are classified on the recurrent class.
+    equilibrium. ``candidate_range`` is (low, high), with low > high when
+    empty. Equilibria are classified on the recurrent class.
     """
 
     pure_equilibria: list[int]
@@ -67,39 +64,22 @@ class EquilibriumReport:
             "mixed_points": list(self.mixed_points),
             "mixed_intervals": [[a, b] for a, b in self.mixed_intervals],
             "range": list(self.candidate_range),
-            "diagnostics": [dict(zip(DIAGNOSTIC_KEYS, d)) for d in self.diagnostics],
+            "diagnostics": [d._asdict() for d in self.diagnostics],
             "scope": "recurrent-class",
         }
 
 
-def _scan(params: EconomicParams, policy: ServiceRatePolicy) -> range:
-    """Every n0 the delay bounds leave open: W(n0-1, n0) <= n0/mu_1 and
-    1/mu_{n0+1} <= 1/mu_1 give n0 >= r_tilde mu_1 - 1, and W(n0-1, n0) >= n0/M
-    gives n0 <= r_tilde M."""
+def pure_candidates(params: EconomicParams, policy: ServiceRatePolicy) -> range:
+    """Every pure threshold n0 the delay bounds leave open: W(n0-1, n0) <= n0/mu_1 and
+    1/mu_{n0+1} <= 1/mu_1 give n0 >= r_tilde mu_1 - 1, and W(n0-1, n0) >= n0/M gives
+    n0 <= r_tilde M. ValueError unless r_tilde * M is finite and the last candidate's
+    full delay table passes delay.check_table_size, before anything is built."""
     r = params.r_tilde
     if not math.isfinite(r * policy.max_rate):
         raise ValueError("r_tilde * M must be finite")
-    return range(max(math.ceil(r * policy.rates(1)[0] - 1.0 - TOL_EQ), 0),
-                 math.floor(r * policy.max_rate + TOL_EQ) + 1)
-
-
-def pure_candidate_range(params: EconomicParams, policy: ServiceRatePolicy) -> tuple[float, float]:
-    """The reported range of pure threshold equilibria.
-
-    General policies: the integers [max(ceil(r_tilde mu_1 - 1), 0),
-    floor(r_tilde M)] that enumerate_pure_equilibria scans. Two-rate threshold policies: the paper's real-valued
-    bounds (L, U) for equilibria above the service threshold,
-    L = max{(r_tilde - 1/mu_h) mu_l, T+1}, U = max{r_tilde mu_h, T+1}.
-    An empty range is returned as (low, high) with low > high.
-    """
-    r = params.r_tilde
-    if policy.threshold_form is not None:
-        T, mu_l, mu_h = policy.threshold_form
-        L = max((r - 1.0 / mu_h) * mu_l, T + 1.0)
-        U = max(r * mu_h, T + 1.0)
-        return (L, U)
-    scan = _scan(params, policy)
-    return (float(scan.start), float(scan.stop - 1))
+    top = math.floor(r * policy.max_rate + TOL_EQ)
+    check_table_size(top, "r_tilde * M")
+    return range(max(math.ceil(r * policy.rates(1)[0] - 1.0 - TOL_EQ), 0), top + 1)
 
 
 def _diagnose(n0: int, w: float, params: EconomicParams, mu_next: float) -> CandidateDiagnostic:
@@ -143,26 +123,23 @@ def enumerate_pure_equilibria(params: EconomicParams,
                               policy: ServiceRatePolicy) -> EquilibriumReport:
     """Test every candidate threshold and return the sorted equilibrium set.
 
-    The candidates are the integers from max(ceil(r_tilde mu_1 - 1), 0) to
-    floor(r_tilde M), scored in one batched solve and judged by the
-    two-sided test alone, whatever the policy.
+    The candidates are pure_candidates, scored in one batched solve and judged
+    by the two-sided test alone, whatever the policy. The range reported is the
+    scan's ends, or for a two-rate policy the paper's bounds above the service
+    threshold, L = max{(r_tilde - 1/mu_h) mu_l, T+1}, U = max{r_tilde mu_h, T+1}.
     """
-    scan = _scan(params, policy)
+    scan = pure_candidates(params, policy)
     mus = policy.rates(scan.stop)[scan.start:].tolist()  # mu_{n0+1} per candidate
     diagnostics = [_diagnose(n0, w, params, mu)
                    for n0, w, mu in zip(scan, marginal_delays(policy, scan, params).tolist(), mus)]
+    if policy.threshold_form is None:
+        candidate_range = (float(scan.start), float(scan.stop - 1))
+    else:
+        T, mu_l, mu_h = policy.threshold_form
+        r = params.r_tilde
+        candidate_range = (max((r - 1.0 / mu_h) * mu_l, T + 1.0), max(r * mu_h, T + 1.0))
     return EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
-                             candidate_range=pure_candidate_range(params, policy),
-                             diagnostics=diagnostics)
-
-
-def marginal_delay(x: float, params: EconomicParams, policy: ServiceRatePolicy) -> float:
-    """Marginal delay w(x) = W(floor(x), floor(x)+1) under the threshold-x
-    strategy; at integer x this is the pure-threshold value W(x-1, x)
-    (w is left-continuous)."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return float(marginal_delays(policy, [x], params)[0])
+                             candidate_range=candidate_range, diagnostics=diagnostics)
 
 
 def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
@@ -170,13 +147,13 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     """Locate mixed threshold equilibria w(x) = r_tilde on (x_min, x_max).
 
     w is nonincreasing on each unit interval, so the interval's two ends,
-    solved for all intervals in one batch, decide it: both within TOL_ROOT
+    solved for all intervals in one batch, decide it: both within TOL_EQ
     of r_tilde make a continuum interval (the two-rate case r_tilde * mu_low
     an integer at most T), reported whole instead of points; a sign change
     brackets one root; an end exactly at r_tilde is a root. All brackets are
     refined together, REFINE_POINTS interior points each in one batched
     solve per step, until each is at most TOL_ROOT_X wide with an end within
-    TOL_ROOT of r_tilde; that end is reported. Roots within 1e-9 of an
+    TOL_EQ of r_tilde; that end is reported. Roots within 1e-9 of an
     integer are pure thresholds and are dropped.
     """
     if not (0.0 < x_min < x_max):
@@ -187,13 +164,13 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     lo, hi = lo[hi > lo], hi[hi > lo]
     x0 = lo + _EDGE_PROBE
     f0, f1 = np.split(marginal_delays(policy, np.concatenate((x0, hi)), params) - r, 2)
-    flat = (np.abs(f0) <= TOL_ROOT) & (np.abs(f1) <= TOL_ROOT)
+    flat = (np.abs(f0) <= TOL_EQ) & (np.abs(f1) <= TOL_EQ)
     bracket = ~flat & (f0 != 0.0) & (f1 != 0.0) & ((f0 < 0.0) != (f1 < 0.0))
     a, b, fa, fb = x0[bracket], hi[bracket], f0[bracket], f1[bracket]
     inner = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
     live = np.ones(len(a), bool)
     while True:
-        live &= (b - a > TOL_ROOT_X) | (np.minimum(np.abs(fa), np.abs(fb)) > TOL_ROOT)
+        live &= (b - a > TOL_ROOT_X) | (np.minimum(np.abs(fa), np.abs(fb)) > TOL_EQ)
         if not live.any():
             break
         xs = np.column_stack((a[live], a[live, None] + (b - a)[live, None] * inner, b[live]))
@@ -211,7 +188,7 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     roots[bracket] = np.where(np.abs(fa) <= np.abs(fb), a, b)
     residual = np.zeros(len(roots))
     residual[bracket] = np.minimum(np.abs(fa), np.abs(fb))
-    keep = (bracket | ~flat & ((f0 == 0.0) | (f1 == 0.0))) & (residual <= TOL_ROOT)
+    keep = (bracket | ~flat & ((f0 == 0.0) | (f1 == 0.0))) & (residual <= TOL_EQ)
     roots = roots[keep & (np.abs(roots - np.round(roots)) > 1e-9)]  # not a pure threshold
     points: list[float] = []
     for root in roots.tolist():

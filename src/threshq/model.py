@@ -89,12 +89,13 @@ class EconomicParams:
     r_tilde: float = field(init=False)
 
     def __post_init__(self):
-        if self.arrival_rate <= 0.0:
-            raise InstanceError("arrival rate must be positive")
-        if self.wait_cost <= 0.0:
-            raise InstanceError("waiting cost must be positive")
-        if self.reward < 0.0:
-            raise InstanceError("reward must be nonnegative")
+        # each test fails on NaN, and an infinity fails its bound
+        if not 0.0 < self.arrival_rate < math.inf:
+            raise InstanceError("arrival rate must be positive and finite")
+        if not 0.0 < self.wait_cost < math.inf:
+            raise InstanceError("waiting cost must be positive and finite")
+        if not 0.0 <= self.reward < math.inf:
+            raise InstanceError("reward must be nonnegative and finite")
         object.__setattr__(self, "r_tilde", self.reward / self.wait_cost)
 
 
@@ -135,8 +136,8 @@ def threshold_probs(xs, n: int) -> np.ndarray:
 def strategy_from_x(x: float) -> JoinStrategy:
     """Build the join strategy induced by threshold x; its balk state is ceil(x)."""
     x = float(x)
-    if not x >= 0.0:
-        raise InstanceError("threshold x must be nonnegative")
+    if not 0.0 <= x < math.inf:
+        raise InstanceError("threshold x must be finite and nonnegative")
     return JoinStrategy(threshold_probs([x], math.ceil(x))[:, 0])
 
 

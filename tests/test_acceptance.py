@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from threshq.cli import main as cli_main
-from threshq.delay import arrival_delay, solve_delay_table
+from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
 from threshq.equilibrium import (
     enumerate_pure_equilibria,
     find_mixed_equilibria,
-    marginal_delay,
     threshold_policy_below_T,
 )
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
@@ -178,20 +177,20 @@ def test_criterion_7_mixed_equilibria():
     pts, intervals = find_mixed_equilibria(p, CASE_POLICY, 24.0, 40.0)
     in_25_26 = [x for x in pts if 25.0 < x < 26.0]
     assert len(in_25_26) == 1
-    assert abs(marginal_delay(in_25_26[0], p, CASE_POLICY) - 8.5) <= 1e-9
+    assert abs(marginal_delays(CASE_POLICY, [in_25_26[0]], p)[0] - 8.5) <= 1e-9
     # between consecutive pure equilibria above T with strict boundary conditions
     above = [k for k in enumerate_pure_equilibria(p, CASE_POLICY).pure_equilibria if k > 23]
     for a, b in zip(above, above[1:]):
         if b - a != 1:
             continue
-        w_low = marginal_delay(float(a), p, CASE_POLICY)
-        w_high = marginal_delay(float(b), p, CASE_POLICY)
+        w_low = marginal_delays(CASE_POLICY, [float(a)], p)[0]
+        w_high = marginal_delays(CASE_POLICY, [float(b)], p)[0]
         if w_low > p.r_tilde - 0.2 and w_high < p.r_tilde:  # 1/mu_h = 0.2
             assert any(a < x < b for x in pts)
     # continuum: r_tilde * mu_l = 17 is an integer at most T
     assert (16.0, 17.0) in find_mixed_equilibria(p, CASE_POLICY, 15.5, 18.0)[1]
     for x in np.linspace(16.05, 16.95, 7):
-        assert abs(marginal_delay(float(x), p, CASE_POLICY) - 8.5) <= 1e-12
+        assert abs(marginal_delays(CASE_POLICY, [float(x)], p)[0] - 8.5) <= 1e-12
     report("7 (mixed threshold equilibria)")
 
 

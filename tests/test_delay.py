@@ -206,8 +206,9 @@ class TestWavefrontKernel:
 
 
 @pytest.mark.parametrize("cells, shown", [
-    (delay.MAX_TABLE_CELLS + 1, "1e+07"), (float("nan"), "nan"), (float("inf"), "inf"),
-    (10**400, "inf"), (3e12, "3e+12")], ids=["just_over", "nan", "inf", "int_past_float", "3e12"])
+    (delay.MAX_TABLE_CELLS + 1, "10000001"), (float("nan"), "nan"), (float("inf"), "inf"),
+    (10**400, "inf"), (3e12, "3000000000000"), (1e15, "1e+15")],
+    ids=["just_over", "nan", "inf", "int_past_float", "3e12", "1e15"])
 def test_check_cells_over_limit(cells, shown):
     with pytest.raises(ValueError) as exc:
         delay.check_cells(cells, "grid")
@@ -218,7 +219,7 @@ def test_check_cells_at_limit_and_table_size():
     delay.check_cells(delay.MAX_TABLE_CELLS, "grid")
     delay.check_table_size(3161, "x")  # 3161 x 3162 cells
     with pytest.raises(ValueError,
-                       match=r"^delay table for balk state 3162 needs 1.00014e\+07 values"):
+                       match=r"^delay table for balk state 3162 needs 10001406 values"):
         delay.check_table_size(3161.5, "x")
     with pytest.raises(ValueError, match="^x must be finite$"):
         delay.check_table_size(float("nan"), "x")

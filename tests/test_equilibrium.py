@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from threshq.equilibrium import (
     TOL_EQ,
+    CandidateDiagnostic,
     enumerate_pure_equilibria,
     find_mixed_equilibria,
-    marginal_delay,
-    pure_candidate_range,
     sweep_mixed,
     sweep_pure,
     threshold_policy_below_T,
@@ -74,23 +73,34 @@ class TestBestResponse:
 
 
 class TestPureCandidateRange:
+    """The reported candidate_range of enumerate_pure_equilibria."""
+
     def test_two_rate_bounds(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
-        assert pure_candidate_range(params_R(8.0), pol) == (24.0, 40.0)
-        L, U = pure_candidate_range(params_R(13.0), pol)
+        assert enumerate_pure_equilibria(params_R(8.0), pol).candidate_range == (24.0, 40.0)
+        L, U = enumerate_pure_equilibria(params_R(13.0), pol).candidate_range
         assert L == pytest.approx(25.6) and U == 65.0
 
     def test_general_bounds(self):
         # the scan bounds r_tilde mu_1 - 1 <= n0 <= r_tilde M
         pol = ServiceRatePolicy((1.0,), 2.0)
         p = params_R(3.0, lam=1.0)
-        low, high = pure_candidate_range(p, pol)
+        low, high = enumerate_pure_equilibria(p, pol).candidate_range
         assert low == math.ceil(3.0 * 1.0 - 1.0) and high == 6
 
     def test_zero_reward(self):
         pol = ServiceRatePolicy.constant(2.0)
-        low, high = pure_candidate_range(params_R(0.0), pol)
+        low, high = enumerate_pure_equilibria(params_R(0.0), pol).candidate_range
         assert high == 0 and low == 0
+
+    def test_scan_over_the_limit_refused_before_solving(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve started")
+        monkeypatch.setattr(eq_mod, "marginal_delays", refuse)
+        # r_tilde * M = 10^12: the scan's last full table is refused, not allocated
+        with pytest.raises(ValueError, match="over the limit"):
+            enumerate_pure_equilibria(EconomicParams(1.0, 1e12, 1.0),
+                                      ServiceRatePolicy.constant(1.0))
 
 
 class TestIsPureEquilibrium:
@@ -110,8 +120,8 @@ class TestIsPureEquilibrium:
         assert diagnostic(6, p, pol).is_equilibrium
         assert enumerate_pure_equilibria(p, pol).pure_equilibria == [6]
         # W(n0-1, n0) = n0/2: 2.5 is below r - 1/mu = 2.8, 3.5 above r = 3.3
-        assert marginal_delay(5.0, p, pol) < p.r_tilde - 0.5 - TOL_EQ
-        assert marginal_delay(7.0, p, pol) > p.r_tilde + TOL_EQ
+        assert marginal_delays(pol, [5.0], p)[0] < p.r_tilde - 0.5 - TOL_EQ
+        assert marginal_delays(pol, [7.0], p)[0] > p.r_tilde + TOL_EQ
 
     def test_always_balk_degenerate(self):
         pol = ServiceRatePolicy.constant(2.0)
@@ -124,7 +134,7 @@ class TestIsPureEquilibrium:
         assert d.n0 == 26
         assert d.upper_bound == 8.15
         assert d.lower_bound == pytest.approx(8.15 - 0.2)
-        assert d.lower_bound - TOL_EQ <= d.w_marginal <= d.upper_bound + TOL_EQ
+        assert d.lower_bound - TOL_EQ <= d.W_marginal <= d.upper_bound + TOL_EQ
 
 
 class TestThresholdPolicyBelowT:
@@ -240,7 +250,7 @@ class TestEnumeratePure:
         doc = json.loads(json.dumps(rep.to_json_dict()))
         assert doc["pure"] == [16, 17, 25, 36, 37]
         assert doc["scope"] == "recurrent-class"
-        assert [list(d) for d in doc["diagnostics"]] == [list(eq_mod.DIAGNOSTIC_KEYS)] * len(
+        assert [list(d) for d in doc["diagnostics"]] == [list(CandidateDiagnostic._fields)] * len(
             rep.diagnostics)
 
 
@@ -251,14 +261,14 @@ class TestMarginalDelay:
         p = params_R(8.5)
         for n0 in (10, 24, 30):
             table = solve_delay_table(self.POL, strategy_from_x(n0), p)
-            assert marginal_delay(float(n0), p, self.POL) == pytest.approx(
+            assert marginal_delays(self.POL, [float(n0)], p)[0] == pytest.approx(
                 table.w(n0 - 1, n0), abs=1e-14)
 
     def test_continuum_value_below_threshold(self):
         # r mu_l = 17 integer: w is exactly r_tilde on (16, 17)
         p = params_R(8.5)
         for x in (16.1, 16.5, 16.9):
-            assert marginal_delay(x, p, self.POL) == pytest.approx(8.5, abs=1e-12)
+            assert marginal_delays(self.POL, [x], p)[0] == pytest.approx(8.5, abs=1e-12)
 
     def test_mixed_value_against_dense_solve(self):
         pol = ServiceRatePolicy((1.0, 2.0), 2.0)
@@ -266,13 +276,13 @@ class TestMarginalDelay:
         x = 1.5
         strat = strategy_from_x(x)
         ref = dense_delay_solve(pol, strat, p)
-        assert marginal_delay(x, p, pol) == pytest.approx(ref[(1, 2)], rel=1e-12)
+        assert marginal_delays(pol, [x], p)[0] == pytest.approx(ref[(1, 2)], rel=1e-12)
 
     def test_left_continuity_at_integers(self):
         p = params_R(8.5)
         for k in (25, 30, 36):
-            w_at = marginal_delay(float(k), p, self.POL)
-            w_left = marginal_delay(k - 1e-9, p, self.POL)
+            w_at = marginal_delays(self.POL, [float(k)], p)[0]
+            w_left = marginal_delays(self.POL, [k - 1e-9], p)[0]
             assert abs(w_at - w_left) <= 1e-8
 
 
@@ -311,7 +321,7 @@ class TestFindMixedEquilibria:
         pts, _ = find_mixed_equilibria(params_R(8.5), self.POL, 25.0 + 1e-12, 26.0)
         assert len(pts) == 1
         assert 25.0 < pts[0] < 26.0
-        assert abs(marginal_delay(pts[0], params_R(8.5), self.POL) - 8.5) <= 1e-9
+        assert abs(marginal_delays(self.POL, [pts[0]], params_R(8.5))[0] - 8.5) <= 1e-9
 
     def test_continuum_interval_reported(self):
         pts, ivals = find_mixed_equilibria(params_R(8.5), self.POL, 15.0 + 1e-9, 18.0)
@@ -340,7 +350,7 @@ class TestFindMixedEquilibria:
         assert ivals == ref_ivals
         assert len(pts) == len(ref_pts) and np.allclose(pts, ref_pts, rtol=0.0, atol=1e-8)
         residuals = marginal_delays(policy, pts, params) - params.r_tilde
-        assert np.all(np.abs(residuals) <= eq_mod.TOL_ROOT)
+        assert np.all(np.abs(residuals) <= TOL_EQ)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mixed_instances())
