@@ -83,18 +83,20 @@ def cmd_delay(args, params, policy) -> int:
 
 def cmd_equilibria(args, params, policy) -> int:
     if args.table1:
+        if args.mixed_range:
+            raise InstanceError("--table1 takes no --mixed-range")
         rewards = [_finite(float(r), "--table1 reward") for r in args.table1.split(",") if r.strip()]
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
         # the largest reward has the longest scan: refuse it before any solve
         eq_mod.pure_candidates(EconomicParams(params.arrival_rate, max(rewards, default=0.0),
                                               params.wait_cost), policy)
-        T = policy.threshold_form[0]
+        T, mu_l, mu_h = policy.threshold_form
         rows = []
         for R in rewards:
             p = EconomicParams(params.arrival_rate, R, params.wait_cost)
-            rep = eq_mod.enumerate_pure_equilibria(p, policy)
-            pure, (L, U) = rep.pure_equilibria, rep.candidate_range
+            pure = eq_mod.enumerate_pure_equilibria(p, policy).pure_equilibria
+            L, U = max((p.r_tilde - 1.0 / mu_h) * mu_l, T + 1.0), max(p.r_tilde * mu_h, T + 1.0)
             rows.append((f"{R:g}", ";".join(str(k) for k in pure if k <= T),
                          ";".join(str(k) for k in pure if k > T), f"{L:g}", f"{U:g}"))
         _write(args.out, "table1.csv", _csv(("R", "below_T", "above_T", "L", "U"), rows))
@@ -103,6 +105,8 @@ def cmd_equilibria(args, params, policy) -> int:
     if mixed:
         if mixed[2] is not None:
             raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
+        if not 0.0 < mixed[0] < mixed[1]:
+            raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected 0 < a < b")
         delay_mod.check_table_size(mixed[1], "--mixed-range")
     report = eq_mod.enumerate_pure_equilibria(params, policy)
     if mixed:

@@ -48,8 +48,8 @@ class EquilibriumReport:
     """Classified equilibria plus per-candidate diagnostics.
 
     ``mixed_intervals`` holds continuum cases where every interior x is an
-    equilibrium. ``candidate_range`` is (low, high), with low > high when
-    empty. Equilibria are classified on the recurrent class.
+    equilibrium. ``candidate_range`` is the (first, last) pure candidate
+    scanned, for every policy. Equilibria are classified on the recurrent class.
     """
 
     pure_equilibria: list[int]
@@ -95,7 +95,8 @@ def _diagnose(n0: int, w: float, params: EconomicParams, mu_next: float) -> Cand
 
 
 def threshold_policy_below_T(params: EconomicParams, policy: ServiceRatePolicy) -> list[int]:
-    """Closed-form pure equilibria in {0..T} for a two-rate policy.
+    """Closed-form pure equilibria in {0..T} for a policy whose rates take two
+    values, mu_l on states 1..T and mu_h above (``policy.threshold_form``).
 
     With y = r_tilde * mu_low: y integer and y <= T gives {y-1, y}; y
     non-integer below T gives {floor(y)}; T < y <= T + mu_l/mu_h with
@@ -124,22 +125,15 @@ def enumerate_pure_equilibria(params: EconomicParams,
     """Test every candidate threshold and return the sorted equilibrium set.
 
     The candidates are pure_candidates, scored in one batched solve and judged
-    by the two-sided test alone, whatever the policy. The range reported is the
-    scan's ends, or for a two-rate policy the paper's bounds above the service
-    threshold, L = max{(r_tilde - 1/mu_h) mu_l, T+1}, U = max{r_tilde mu_h, T+1}.
+    by the two-sided test alone; the range reported is their ends, for any policy.
     """
     scan = pure_candidates(params, policy)
     mus = policy.rates(scan.stop)[scan.start:].tolist()  # mu_{n0+1} per candidate
     diagnostics = [_diagnose(n0, w, params, mu)
                    for n0, w, mu in zip(scan, marginal_delays(policy, scan, params).tolist(), mus)]
-    if policy.threshold_form is None:
-        candidate_range = (float(scan.start), float(scan.stop - 1))
-    else:
-        T, mu_l, mu_h = policy.threshold_form
-        r = params.r_tilde
-        candidate_range = (max((r - 1.0 / mu_h) * mu_l, T + 1.0), max(r * mu_h, T + 1.0))
     return EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
-                             candidate_range=candidate_range, diagnostics=diagnostics)
+                             candidate_range=(float(scan.start), float(scan.stop - 1)),
+                             diagnostics=diagnostics)
 
 
 def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -25,15 +26,13 @@ class ServiceRatePolicy:
     ``prefix`` is a read-only float64 array of the rates for states 1..K;
     every state beyond K is served at ``max_rate``, which is also the
     supremum M of the sequence. ``rates(n)`` is the one way to read rates.
-    ``threshold_form`` is set when the policy is a two-rate policy
-    (T, mu_low, mu_high): rate mu_low for 1 <= n <= T, mu_high above. Its
-    prefix is a broadcast view of mu_low, one float whatever T. Policies
-    compare by identity.
+    A policy is its rates: ``threshold_form`` is read from them, whichever
+    constructor built them. A ``two_rate`` prefix is a broadcast view of
+    mu_low, one float whatever T. Policies compare by identity.
     """
 
     prefix: np.ndarray
     max_rate: float
-    threshold_form: tuple[int, float, float] | None = None
 
     def __post_init__(self):
         prefix = np.asarray(self.prefix, dtype=float)
@@ -53,15 +52,15 @@ class ServiceRatePolicy:
             raise InstanceError("service rates must be nondecreasing")
         if not (prefix[-1:] <= tail).all():
             raise InstanceError("prefix rates must not exceed the tail rate")
-        if self.threshold_form is not None:
-            T, mu_low, mu_high = self.threshold_form
-            if not (isinstance(T, int) and T >= 1):
-                raise InstanceError("service threshold T must be a positive integer")
-            if not (0.0 < mu_low < mu_high):
-                raise InstanceError("two-rate policy needs 0 < mu_low < mu_high")
-            if not (prefix.shape == (T,) and (prefix == mu_low).all() and tail == mu_high):
-                raise InstanceError("threshold_form inconsistent with rate sequence")
-            object.__setattr__(self, "threshold_form", (T, float(mu_low), float(mu_high)))
+
+    @property
+    def threshold_form(self) -> tuple[int, float, float] | None:
+        """(T, mu_low, mu_high) when the rates are mu_low on states 1..T and mu_high
+        above, else None (a nondecreasing prefix with equal ends is constant)."""
+        p = self.prefix
+        if len(p) and p[0] == p[-1] < self.max_rate:
+            return len(p), float(p[0]), self.max_rate
+        return None
 
     @classmethod
     def constant(cls, mu: float) -> "ServiceRatePolicy":
@@ -70,8 +69,11 @@ class ServiceRatePolicy:
     @classmethod
     def two_rate(cls, T: int, mu_low: float, mu_high: float) -> "ServiceRatePolicy":
         """Serve at mu_low while at most T customers are present, else mu_high."""
-        T, mu_low, mu_high = int(T), float(mu_low), float(mu_high)
-        return cls(np.broadcast_to(mu_low, max(T, 0)), mu_high, (T, mu_low, mu_high))
+        if not (isinstance(T, numbers.Integral) and T >= 1):
+            raise InstanceError("service threshold T must be a positive integer")
+        if not (0.0 < mu_low < mu_high):
+            raise InstanceError("two-rate policy needs 0 < mu_low < mu_high")
+        return cls(np.broadcast_to(float(mu_low), int(T)), mu_high)
 
     def rates(self, n: int) -> np.ndarray:
         """The rates mu_1..mu_n, with 1..n present: the prefix, then the tail rate repeated."""

@@ -182,6 +182,26 @@ class TestEquilibriaCommand:
         assert code == 2 and out == ""
         assert err == "error: bad range '30:24'; expected a <= b\n"
 
+    @pytest.mark.parametrize("spec", ["0:3", "3:3", "-1:3"])
+    def test_mixed_range_not_positive_exit_2(self, monkeypatch, capsys, case_study_instance,
+                                             spec):
+        def refuse(*args):
+            raise AssertionError("a solve started")
+        monkeypatch.setattr(equilibrium, "marginal_delays", refuse)
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                                 f"--mixed-range={spec}")  # '=' lets argparse take "-1:3"
+        assert (code, out, err) == (2, "", f"error: bad --mixed-range '{spec}'; expected 0 < a < b\n")
+
+    def test_table1_with_mixed_range_exit_2(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                                 "--table1", "8.5", "--mixed-range", "24:30")
+        assert (code, out, err) == (2, "", "error: --table1 takes no --mixed-range\n")
+
+    def test_table1_needs_two_rates(self, capsys, constant_instance):
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(constant_instance),
+                                 "--table1", "8.5")
+        assert (code, out, err) == (2, "", "error: --table1 requires a two-rate threshold policy\n")
+
     def test_table1_non_finite_reward_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
                                  "--table1", "8,nan")

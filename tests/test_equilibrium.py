@@ -76,10 +76,10 @@ class TestPureCandidateRange:
     """The reported candidate_range of enumerate_pure_equilibria."""
 
     def test_two_rate_bounds(self):
+        # the scan's ends, as for any policy; the paper's L and U are --table1's
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
-        assert enumerate_pure_equilibria(params_R(8.0), pol).candidate_range == (24.0, 40.0)
-        L, U = enumerate_pure_equilibria(params_R(13.0), pol).candidate_range
-        assert L == pytest.approx(25.6) and U == 65.0
+        assert enumerate_pure_equilibria(params_R(8.0), pol).candidate_range == (15.0, 40.0)
+        assert enumerate_pure_equilibria(params_R(13.0), pol).candidate_range == (25.0, 65.0)
 
     def test_general_bounds(self):
         # the scan bounds r_tilde mu_1 - 1 <= n0 <= r_tilde M

@@ -60,6 +60,16 @@ def test_output_matches_pin(tmp_path, case_study_instance, case):
     assert got == (GOLDEN / f"{case}.txt").read_text()
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_both_policy_forms_same_bytes(tmp_path, case_study_instance, case):
+    # a policy is its rates: the case study written as a rate prefix is the same queue
+    doc = {**CASE_STUDY_DOC, "policy": {"prefix": [2.0] * 23, "tail": 5.0}}
+    prefix_instance = tmp_path / "prefix.json"
+    prefix_instance.write_text(json.dumps(doc))
+    assert render(str(prefix_instance), CASES[case], str(tmp_path / "prefix")) == \
+        render(str(case_study_instance), CASES[case], str(tmp_path / "two_rate"))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():

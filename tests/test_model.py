@@ -94,9 +94,30 @@ class TestServiceRatePolicy:
 
     def test_threshold_form_must_match_rates(self):
         with pytest.raises(InstanceError):
-            ServiceRatePolicy((2.0,), 5.0, (2, 2.0, 5.0))
-        with pytest.raises(InstanceError):
             ServiceRatePolicy.two_rate(3, 5.0, 2.0)
+
+    @pytest.mark.parametrize("pol, form", [
+        (ServiceRatePolicy((0.5,), 1.0), (1, 0.5, 1.0)),
+        (ServiceRatePolicy([2.0] * 23, 5.0), (23, 2.0, 5.0)),
+        (ServiceRatePolicy((), 2.0), None),
+        (ServiceRatePolicy((2.0, 2.0), 2.0), None),
+        (ServiceRatePolicy((1.0, 2.0), 3.0), None),
+        (ServiceRatePolicy.two_rate(10**7, 2.0, 5.0), (10**7, 2.0, 5.0)),
+        (ServiceRatePolicy.two_rate(np.int64(3), 2.0, 5.0), (3, 2.0, 5.0)),
+    ], ids=["one_state", "case_study_prefix", "constant", "constant_prefix", "three_rates",
+            "two_rate_T_at_limit", "two_rate_numpy_T"])
+    def test_threshold_form_is_read_from_the_rates(self, pol, form):
+        assert pol.threshold_form == form
+
+    def test_policy_has_only_its_rates(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ServiceRatePolicy)] == ["prefix", "max_rate"]
+
+    @pytest.mark.parametrize("T", [2.7, 3.0, np.float64(3.0), 0])
+    def test_two_rate_non_integer_T_rejected(self, T):
+        with pytest.raises(InstanceError, match="service threshold T must be a positive integer"):
+            ServiceRatePolicy.two_rate(T, 2.0, 5.0)
 
 
 class TestEconomicParams:
