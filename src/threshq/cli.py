@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import delay as delay_mod
@@ -122,13 +123,13 @@ def cmd_sweep(args, params, policy) -> int:
     a, b, step = _parse_range(args.range)
     delay_mod.check_table_size(b, "range end")
     if args.kind == "pure_n0":
-        if step is not None or not (a.is_integer() and b.is_integer()):
-            raise InstanceError(f"bad --range {args.range!r}; pure_n0 expects integers a:b, "
-                                "with no step")
+        if step is not None or not (a.is_integer() and b.is_integer()) or a < 1.0:
+            raise InstanceError(f"bad --range {args.range!r}; pure_n0 expects integers "
+                                "1 <= a <= b, with no step")
         key, rows = "n0", eq_mod.sweep_pure(params, policy, int(a), int(b))
     else:
         if step is None:
-            raise InstanceError("mixed_x sweep needs a:b:step")
+            raise InstanceError(f"bad --range {args.range!r}; mixed_x expects a:b:step")
         key, rows = "x", eq_mod.sweep_mixed(params, policy, a, b, step)
     _write(args.out, f"sweep_{args.kind}.csv", _csv((key, "W", "equilibrium_hit"), rows))
     return EXIT_OK
@@ -168,6 +169,8 @@ def cmd_verify_coupling(args, params, policy) -> int:
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
     """A subcommand that runs ``func(args, params, policy)`` on its --instance."""
     p = sub.add_parser(name, help=help)
+    # a value may start with '-' (-1:3, -1e5, -inf), not only plain negative numbers
+    p._negative_number_matcher = re.compile(r"-[^-]")
     p.add_argument("--instance", required=True)
     p.set_defaults(func=func)
     return p

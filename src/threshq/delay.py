@@ -54,8 +54,8 @@ class DelayTable:
         """CSV with header n,m,W; one row per entry, 17 significant digits."""
         lines = ["n,m,W"]
         for n in range(self.n0):
-            for m in range(n + 1, self.n0 + 1):
-                lines.append(f"{n},{m},{self.entries[n, m]:.17g}")
+            row = self.entries[n, n + 1:].tolist()  # W(n, n + 1..n0) as Python floats
+            lines += [f"{n},{m},{w:.17g}" for m, w in enumerate(row, n + 1)]
         return "\n".join(lines) + "\n"
 
 
@@ -76,7 +76,7 @@ def check_table_size(top: float, what: str) -> None:
     """Raise ValueError unless ``top``, named ``what``, is finite and the full
     table for balk state ceil(top) is within check_cells."""
     if not math.isfinite(top):
-        raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be finite, got {top!r}")
     n0 = math.ceil(top)
     check_cells(max(n0, 1) * (n0 + 1.0), f"delay table for balk state {_shown(n0)}")
 

@@ -93,11 +93,12 @@ class EconomicParams:
     def __post_init__(self):
         # each test fails on NaN, and an infinity fails its bound
         if not 0.0 < self.arrival_rate < math.inf:
-            raise InstanceError("arrival rate must be positive and finite")
+            raise InstanceError(
+                f"arrival rate must be positive and finite, got {self.arrival_rate!r}")
         if not 0.0 < self.wait_cost < math.inf:
-            raise InstanceError("waiting cost must be positive and finite")
+            raise InstanceError(f"waiting cost must be positive and finite, got {self.wait_cost!r}")
         if not 0.0 <= self.reward < math.inf:
-            raise InstanceError("reward must be nonnegative and finite")
+            raise InstanceError(f"reward must be nonnegative and finite, got {self.reward!r}")
         object.__setattr__(self, "r_tilde", self.reward / self.wait_cost)
 
 
@@ -139,7 +140,7 @@ def strategy_from_x(x: float) -> JoinStrategy:
     """Build the join strategy induced by threshold x; its balk state is ceil(x)."""
     x = float(x)
     if not 0.0 <= x < math.inf:
-        raise InstanceError("threshold x must be finite and nonnegative")
+        raise InstanceError(f"threshold x must be finite and nonnegative, got {x!r}")
     return JoinStrategy(threshold_probs([x], math.ceil(x))[:, 0])
 
 

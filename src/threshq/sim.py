@@ -9,7 +9,7 @@ results to its own row. A sojourn replication is one int code packing the
 customers ahead and present. In the coupling, the two systems read the same
 draw for each arrival and join coin, and the same service requirement for
 each initial customer; only those are ever served, so each system tracks just
-the one in service.
+the one in service, in 1-D arrays of its own, and events are picked elementwise.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from .model import EconomicParams, JoinStrategy, ServiceRatePolicy
 
 _STREAM_SOJOURN = 0
 _STREAM_COUPLING = 1
-# an upper bound on the requirements a coupling block holds: a replication
-# holds its n + 1 <= n0 initial ones, and a block has _BLOCK_CELLS // (n0 + 1)
-# replications, so a coupling's state stays a few MB whatever its size
+# a coupling block has _BLOCK_CELLS // (n0 + 1) rows of n + 2 <= n0 + 1 requirements
+# (n + 1 drawn and an inf), so its state stays a few MB whatever the coupling's size
 _BLOCK_CELLS = 1 << 18
 
 
@@ -139,53 +138,55 @@ def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
     probs = np.array(config.strategy.probs)  # probs[k] with k present, k = 0..n0
     mu = config.policy.rates(n0)  # mu[k - 1] with k present
     reps = config.replications
-    dep = np.empty((reps, 2, n + 1))
+    dep = (np.empty((reps, n)), np.empty((reps, n + 1)))  # A: labels 1..n, B: labels 0..n
     size = max(1, _BLOCK_CELLS // (n0 + 1))
     for start in range(0, reps, size):
         _couple_block(rng, config.params.arrival_rate, probs, mu, n,
-                      np.arange(start, min(start + size, reps)), dep)
-    return CouplingOutcome(dep[:, 0, 1:], dep[:, 1, 1:])
+                      tuple(a[start:start + size] for a in dep))
+    return CouplingOutcome(dep[0], dep[1][:, 1:])
 
 
 def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,
-                  n: int, rows: np.ndarray, dep: np.ndarray) -> None:
-    """Run replications ``rows`` until label n has left both systems; write
-    dep[r, s, j], the departure time of label j from system s (A = 0, B = 1).
+                  n: int, dep: tuple[np.ndarray, np.ndarray]) -> None:
+    """Run one block's replications, one per row of dep[0] and dep[1], until
+    label n has left both systems; the d-th departure from system s (A = 0,
+    B = 1) in replication r, label d - s by FCFS, is written to dep[s][r, d - 1].
 
-    Labels follow from FCFS order: the k-th departure from system s is label
-    k - s. A joiner queues behind label n, and a system stops once label n
-    has left, so only initial customers are served: each system tracks the
-    remaining requirement of the one in service, and after d departures
-    serves label d + 1 - s. Finished replications are dropped after each step.
+    Joiners queue behind label n, the last one served, so each system keeps
+    one 1-D array per quantity over the live replications: the remaining
+    requirement of the one in service, departures d and size. After d
+    departures it serves label d + 1 - s, whose requirement is at row ``pos``
+    of the block's matrix; an inf after label n keeps a finished system from
+    firing. Finished replications are dropped after each step.
     """
-    k = len(rows)
-    goal = np.array([n, n + 1])  # departures after which label n has left
-    req = rng.exponential(1.0, (k, n + 1))  # S_0..S_n; A holds S_1..S_n
-    left = req[:, 1::-1].copy()  # A serves S_1 first, B serves S_0
-    d = np.zeros((k, 2), dtype=np.int64)
-    size = np.tile(goal, (k, 1))  # A starts with n present, B with n + 1
-    t = np.zeros(k)
-    nxt = rng.exponential(1.0 / lam, k)
-    while len(rows):
-        done = d == goal
-        rate = mu[size - 1]  # a system not done holds label n, so size >= 1
-        times = np.column_stack((np.where(done, np.inf, t[:, None] + left / rate), nxt))
-        ev = times.argmin(axis=1)  # the first minimum: A, then B, then the arrival
-        now = times.min(axis=1)
-        left -= rate * (now - t)[:, None]
-        t = now
+    k = len(dep[0])
+    # S_0..S_n (A holds S_1..S_n), then inf for the label after n
+    req = np.hstack((rng.exponential(1.0, (k, n + 1)), np.full((k, 1), np.inf)))
+    pos, t, nxt = np.arange(k), np.zeros(k), rng.exponential(1.0 / lam, k)
+    left = [req[:, 1].copy(), req[:, 0].copy()]  # A serves S_1 first, B serves S_0
+    d = [np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)]
+    size = [np.full(k, n), np.full(k, n + 1)]  # A starts with n present, B with n + 1
+    while len(pos):
+        rate = [mu[z - 1] for z in size]  # size >= 1 while a system holds label n
+        fire = [t + l / r for l, r in zip(left, rate)]
+        now = np.minimum(np.minimum(fire[0], fire[1]), nxt)
+        first = fire[0] == now  # the first minimum fires: A, then B, then the arrival
+        events = [first, (fire[1] == now) & ~first]
         for s in (0, 1):
-            i = np.nonzero(ev == s)[0]
-            d[i, s] += 1
-            size[i, s] -= 1
-            dep[rows[i], s, d[i, s] - s] = t[i]
-            left[i, s] = req[i, np.minimum(d[i, s] + 1 - s, n)]
-        i = np.nonzero(ev == 2)[0]
+            left[s] -= rate[s] * (now - t)
+            d[s] += events[s]
+            size[s] -= events[s]
+            i = np.flatnonzero(events[s])
+            j, di = pos[i], d[s][i]
+            dep[s][j, di - 1] = now[i]
+            left[s][i] = req[j, di + 1 - s]
+        t, i = now, np.flatnonzero(~(events[0] | events[1]))
         coin = rng.random(len(i))
         rng.exponential(1.0, len(i))  # a joiner is never served; drawn so later draws keep their place
         nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
-        size[i] += ~done[i] & (coin[:, None] < probs[size[i]])
-        keep = np.any(d != goal, axis=1)
+        for z in size:  # a finished system's size only scales its infinite requirement
+            z[i] += coin < probs[z[i]]
+        keep = (d[0] < n) | (d[1] <= n)
         if not keep.all():
-            rows, req, left, d, size, t, nxt = (
-                a[keep] for a in (rows, req, left, d, size, t, nxt))
+            pos, t, nxt = pos[keep], t[keep], nxt[keep]
+            left, d, size = ([a[keep] for a in arrays] for arrays in (left, d, size))

@@ -224,17 +224,19 @@ def grid_mixed_equilibria(params, policy, x_min, x_max):
 
 
 def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,
-                      n: int, rows: np.ndarray, dep: np.ndarray) -> None:
-    """Run replications ``rows`` until label n has left both systems; write
-    dep[r, s, j], the departure time of label j from system s (A = 0, B = 1).
+                      n: int, dep: tuple[np.ndarray, np.ndarray]) -> None:
+    """Run the replications of one block, one per row of dep[0] and dep[1],
+    until label n has left both systems; write the d-th departure time from
+    system s (A = 0, B = 1) in replication r to dep[s][r, d - 1].
 
-    Labels follow from FCFS order: the k-th departure from system s is label
-    k - s. Each system keeps a ring buffer of remaining requirements, width
+    Labels follow from FCFS order: the d-th departure from system s is label
+    d - s. Each system keeps a ring buffer of remaining requirements, width
     n0 since at most n0 are ever present, with its head at slot
     (departures mod n0). Finished replications are dropped after each step.
     """
     n0 = len(mu)
-    k = len(rows)
+    k = len(dep[0])
+    rows = np.arange(k)
     goal = np.array([n, n + 1])  # departures after which label n has left
     rem = np.zeros((k, 2, n0))
     req = rng.exponential(1.0, (k, n + 1))  # S_0..S_n; A holds S_1..S_n
@@ -260,7 +262,7 @@ def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, m
             i = np.nonzero(ev == s)[0]
             d[i, s] += 1
             size[i, s] -= 1
-            dep[rows[i], s, d[i, s] - s] = t[i]
+            dep[s][rows[i], d[i, s] - 1] = t[i]
         i = np.nonzero(ev == 2)[0]
         coin = rng.random(len(i))
         req = rng.exponential(1.0, len(i))

@@ -371,6 +371,20 @@ def test_negative_x_exit_2(capsys, case_study_instance, command, args):
     assert err.startswith("error:") and "nonnegative" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, args, shown", [
+    ("sweep", ["--kind", "pure_n0", "--range", "-1:3"], "'-1:3'"),
+    ("equilibria", ["--mixed-range", "-1:3"], "'-1:3'"),
+    ("delay", ["--x", "-1e5"], "-100000.0"),
+    ("delay", ["--x", "-inf"], "-inf"),
+    ("equilibria", ["--table1", "-1,2"], "-1.0"),
+])
+def test_option_value_starting_with_dash_exit_2(capsys, case_study_instance, command, args, shown):
+    # argparse alone reads these values as options and prints its usage
+    code, out, err = run_cli(capsys, command, "--instance", str(case_study_instance), *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and shown in err and err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_pure_sweep(self, capsys, case_study_instance):
         code, out, _ = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
@@ -440,6 +454,13 @@ class TestSweepCommand:
                                  "--kind", "pure_n0", "--range", spec)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "integers" in err and err.count("\n") == 1
+
+    def test_pure_range_from_0_exit_2(self, capsys, case_study_instance):
+        # n0 = 0 has no marginal delay, so the sweep could only start above the range
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                 "--kind", "pure_n0", "--range", "0:3")
+        assert (code, out, err) == (2, "", "error: bad --range '0:3'; pure_n0 expects integers "
+                                           "1 <= a <= b, with no step\n")
 
 
 class TestSimulateCommand:

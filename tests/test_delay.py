@@ -221,7 +221,7 @@ def test_check_cells_at_limit_and_table_size():
     with pytest.raises(ValueError,
                        match=r"^delay table for balk state 3162 needs 10001406 values"):
         delay.check_table_size(3161.5, "x")
-    with pytest.raises(ValueError, match="^x must be finite$"):
+    with pytest.raises(ValueError, match="^x must be finite, got nan$"):
         delay.check_table_size(float("nan"), "x")
 
 

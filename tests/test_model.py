@@ -199,7 +199,8 @@ class TestStrategyFromX:
 
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_non_finite_rejected(self, x):
-        with pytest.raises(InstanceError, match="^threshold x must be finite and nonnegative$"):
+        with pytest.raises(InstanceError,
+                           match=f"^threshold x must be finite and nonnegative, got {x!r}$"):
             strategy_from_x(x)
 
     @given(st.floats(0.0, 50.0), st.floats(0.0, 50.0))

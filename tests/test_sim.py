@@ -120,6 +120,21 @@ class TestSimulateSojourn:
             run_coupling(config(seed=seed, reps=10), 1)
 
 
+class FixedDraws:
+    """A generator stand-in with hand-picked draws: a coupling block's
+    requirements and first arrivals as given, then every exponential draw 1
+    and every join coin 0.5."""
+
+    def __init__(self, req, first):
+        self.draws = [np.array(req, dtype=float), np.array(first, dtype=float)]
+
+    def exponential(self, scale, size):
+        return scale * (self.draws.pop(0) if self.draws else np.ones(size))
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
 class TestRunCoupling:
     def test_zero_violations_constant_rate(self):
         out = run_coupling(config(seed=3, reps=2000, x=2.0), 1)
@@ -203,6 +218,27 @@ class TestRunCoupling:
         policy = ServiceRatePolicy((0.5, 0.5, 1.0, 2.5), 3.0)
         cfg = SimConfig(5, 150, EconomicParams(2.5, 5.0, 1.0), policy, strategy_from_x(x))
         self.assert_matches_ring_buffer(monkeypatch, cfg, n)
+
+    def test_ties_fire_in_the_oracle_order(self):
+        # n = 2 under the pure threshold 3 with rates 1, 1, 2: A starts with 2
+        # present (rate 1) and B with 3 (rate 2), and an arrival joins unless 3
+        # are present. The draws are dyadic, so these ties are exact. Row 0: A,
+        # B and the first arrival at t = 1; row 1: A and B at t = 1; row 2: B,
+        # full, and an arrival at t = 1; row 3: A, full since the arrival at
+        # 0.25, and the next arrival at t = 1.25. In rows 2 and 3 the order of
+        # departure and arrival decides whether the arrival joins. (A before B
+        # changes no departure time: the systems share only the arrivals.)
+        req = [[2, 1, 1], [2, 1, 1], [2, 3, 1], [8, 2.25, 1]]
+        first = [1, 2, 1, 0.25]
+        probs, mu = np.array([1.0, 1.0, 1.0, 0.0]), np.array([1.0, 1.0, 2.0])
+        deps = []
+        for block in (sim._couple_block, ring_couple_block):
+            deps.append((np.full((4, 2), np.nan), np.full((4, 3), np.nan)))
+            block(FixedDraws(req, first), 1.0, probs, mu, 2, deps[-1])
+        (a, b), (ref_a, ref_b) = deps
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        assert a[:, 0].tolist() == [1.0, 1.0, 2.0, 1.25]
+        assert b[:, 0].tolist() == [1.0, 1.0, 1.0, 4.0]
 
     def test_deterministic_departure_times(self):
         cfg = config(seed=8, reps=1, x=3.0)
