@@ -2,21 +2,22 @@
 
     PYTHONPATH=src python3 bench/delay_kernel.py
 
-Uses only API that predates the wavefront kernel, so the same command times
-an older checkout too (point PYTHONPATH at its src/). Each value is the
-median over 5 repeats of the mean seconds per call.
+Each value is the median over 5 repeats of the mean seconds per call. The
+equilibrium rows call find_equilibria, so to time a checkout from before it
+existed, run that checkout's own copy of this script.
 - solve_delay_table: the case-study policy (T = 23, rates 2 and 5,
   lambda = 3) under the pure threshold n0.
-- mixed_interval: find_mixed_equilibria on one unit interval (k, k+1) of the
-  case study at reward 20, where w(x) < r_tilde throughout, so the time is
-  the search's first solve alone (65 probes before the end-bracket search,
-  the two ends since), with no root to refine.
-- enumerate_pure: enumerate_pure_equilibria on the general policy with rates
-  1, 2, 3 and tail 4 (mu_1 / M = 0.25), r_tilde M = 60 and 200 (candidates
-  from about r_tilde mu_1 up to r_tilde M); on the case study at reward 8.5,
-  and at reward 60 (r_tilde M = 300).
-- sweep_mixed, find_mixed: the case study at reward 9.1 over 24..46, the
-  benchmark's slowest queries: a sweep at step 0.05 and the mixed search.
+- find_equilibria.pure: the pure scan alone, on the general policy with
+  rates 1, 2, 3 and tail 4 (mu_1 / M = 0.25), r_tilde M = 60 and 200
+  (candidates from about r_tilde mu_1 up to r_tilde M); on the case study
+  at reward 8.5, and at reward 60 (r_tilde M = 300).
+- find_equilibria.mixed_k: the case study at reward 20 with the mixed range
+  one unit interval (k, k+1], where w(x) < r_tilde throughout: the one
+  solve of the scan's 62 candidates and the interval's ends, with no root
+  to refine.
+- sweep_mixed, find_equilibria.mixed_24_46: the case study at reward 9.1
+  over 24..46, the benchmark's slowest queries: a sweep at step 0.05 and
+  the search with its mixed range.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import time
 
 import numpy as np
 
-from threshq.equilibrium import enumerate_pure_equilibria, find_mixed_equilibria, sweep_mixed
+from threshq.equilibrium import find_equilibria, sweep_mixed
 from threshq.delay import solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
@@ -58,19 +59,20 @@ def main() -> dict:
             lambda: solve_delay_table(CASE, strategy, case))
     far = EconomicParams(3.0, 20.0, 1.0)
     for k in (25, 45):
-        rows[f"mixed_interval.k_{k}.s"] = seconds(
-            lambda: find_mixed_equilibria(far, CASE, float(k), k + 1.0))
+        rows[f"find_equilibria.mixed_k_{k}.s"] = seconds(
+            lambda: find_equilibria(far, CASE, (float(k), k + 1.0)))
     for rm in (60, 200):
         params = EconomicParams(1.5, rm / GENERAL.max_rate, 1.0)
-        rows[f"enumerate_pure.rM_{rm}.s"] = seconds(
-            lambda: enumerate_pure_equilibria(params, GENERAL))
+        rows[f"find_equilibria.pure.rM_{rm}.s"] = seconds(
+            lambda: find_equilibria(params, GENERAL))
     for label, reward in (("case_study", 8.5), ("two_rate_rM_300", 60.0)):
         params = EconomicParams(3.0, reward, 1.0)
-        rows[f"enumerate_pure.{label}.s"] = seconds(
-            lambda: enumerate_pure_equilibria(params, CASE))
+        rows[f"find_equilibria.pure.{label}.s"] = seconds(
+            lambda: find_equilibria(params, CASE))
     near = EconomicParams(3.0, 9.1, 1.0)
     rows["sweep_mixed.24_46.s"] = seconds(lambda: sweep_mixed(near, CASE, 24.0, 46.0, 0.05))
-    rows["find_mixed.24_46.s"] = seconds(lambda: find_mixed_equilibria(near, CASE, 24.0, 46.0))
+    rows["find_equilibria.mixed_24_46.s"] = seconds(
+        lambda: find_equilibria(near, CASE, (24.0, 46.0)))
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "seconds": rows}
 

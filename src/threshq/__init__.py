@@ -13,11 +13,9 @@ from .delay import DelayTable, arrival_delay, solve_delay_table
 from .equilibrium import (
     CandidateDiagnostic,
     EquilibriumReport,
-    enumerate_pure_equilibria,
-    find_mixed_equilibria,
+    find_equilibria,
     sweep_mixed,
     sweep_pure,
-    threshold_policy_below_T,
 )
 from .sim import CouplingOutcome, SimConfig, SojournEstimate, run_coupling, simulate_sojourn
 
@@ -34,11 +32,9 @@ __all__ = [
     "solve_delay_table",
     "CandidateDiagnostic",
     "EquilibriumReport",
-    "enumerate_pure_equilibria",
-    "find_mixed_equilibria",
+    "find_equilibria",
     "sweep_mixed",
     "sweep_pure",
-    "threshold_policy_below_T",
     "CouplingOutcome",
     "SimConfig",
     "SojournEstimate",

@@ -96,7 +96,7 @@ def cmd_equilibria(args, params, policy) -> int:
         rows = []
         for R in rewards:
             p = EconomicParams(params.arrival_rate, R, params.wait_cost)
-            pure = eq_mod.enumerate_pure_equilibria(p, policy).pure_equilibria
+            pure = eq_mod.find_equilibria(p, policy).pure_equilibria
             L, U = max((p.r_tilde - 1.0 / mu_h) * mu_l, T + 1.0), max(p.r_tilde * mu_h, T + 1.0)
             rows.append((f"{R:g}", ";".join(str(k) for k in pure if k <= T),
                          ";".join(str(k) for k in pure if k > T), f"{L:g}", f"{U:g}"))
@@ -109,10 +109,7 @@ def cmd_equilibria(args, params, policy) -> int:
         if not 0.0 < mixed[0] < mixed[1]:
             raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected 0 < a < b")
         delay_mod.check_table_size(mixed[1], "--mixed-range")
-    report = eq_mod.enumerate_pure_equilibria(params, policy)
-    if mixed:
-        report.mixed_points, report.mixed_intervals = eq_mod.find_mixed_equilibria(
-            params, policy, *mixed[:2])
+    report = eq_mod.find_equilibria(params, policy, mixed[:2] if mixed else None)
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     if args.out is not None:
         _write(args.out, "diagnostics.csv", _csv(eq_mod.CandidateDiagnostic._fields, report.diagnostics))
@@ -131,6 +128,8 @@ def cmd_sweep(args, params, policy) -> int:
         if step is None:
             raise InstanceError(f"bad --range {args.range!r}; mixed_x expects a:b:step")
         key, rows = "x", eq_mod.sweep_mixed(params, policy, a, b, step)
+        if not rows:
+            raise InstanceError(f"bad --range {args.range!r}; mixed_x has no grid point above 0")
     _write(args.out, f"sweep_{args.kind}.csv", _csv((key, "W", "equilibrium_hit"), rows))
     return EXIT_OK
 
@@ -150,6 +149,8 @@ def cmd_simulate(args, params, policy) -> int:
 
 
 def cmd_verify_coupling(args, params, policy) -> int:
+    if args.x is None and args.n0 < 0:
+        raise InstanceError(f"--n0 must be nonnegative, got {args.n0}")
     x = args.x if args.x is not None else float(args.n0)
     # ceil(x) is the balk state, held to the budget of every other command
     delay_mod.check_table_size(x, "x")

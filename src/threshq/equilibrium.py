@@ -1,18 +1,16 @@
-"""Pure and mixed threshold equilibrium search.
+"""Pure and mixed threshold equilibria from one solve of w at the integers.
 
-A pure threshold n0 is an equilibrium in the recurrent class iff
-r_tilde - 1/mu_{n0+1} <= W(n0-1, n0) <= r_tilde. The delay bounds
-n0/M <= W(n0-1, n0) <= n0/mu_1 confine such n0 to the integers from
-r_tilde mu_1 - 1 to r_tilde M, ``pure_candidates``, so one scan of that
-range, scored in one batched solve, finds them all; the two-rate closed
-form below the service threshold is a corollary the tests cross-check. A
-mixed threshold x is an equilibrium iff the marginal delay w(x) equals
-r_tilde. On a unit interval (k, k+1] only the join probability x - k at
-state k moves; those joiners queue behind the marginal customer, and with
-nondecreasing rates they can only speed its service, so w is
-nonincreasing there and the interval's two ends decide its roots.
-test_w_nonincreasing_on_unit_intervals in tests/test_equilibrium.py checks
-this on random instances.
+The marginal delay w(x) = W(n0-1, n0), n0 = ceil(x), is a sawtooth. On a
+unit interval (k, k+1] only the join probability x - k at state k moves;
+those joiners queue behind the marginal customer and, with nondecreasing
+rates, can only speed its service, so w is nonincreasing there. As x falls
+to k the marginal customer becomes the joiner at the balk state of pure
+threshold k, so w(k+) = w(k) + 1/mu_{k+1}. Pure threshold n0 is an
+equilibrium iff w(n0) <= r_tilde <= w(n0+), and the delay bounds
+n0/M <= w(n0) <= n0/mu_1 confine it to ``pure_candidates``. The interval
+(k, k+1] holds a mixed root iff w(k+1) < r_tilde < w(k+), and is all
+equilibria iff both equal r_tilde. test_w_nonincreasing_on_unit_intervals in
+tests/test_equilibrium.py checks the monotonicity and w(k+) on random instances.
 """
 from __future__ import annotations
 
@@ -26,10 +24,8 @@ from .delay import check_cells, check_table_size, marginal_delays
 from .model import EconomicParams, ServiceRatePolicy
 
 TOL_EQ = 1e-9       # |w - r_tilde| at an equality, an indifference or a mixed root, time units
-TOL_INT = 1e-9      # integrality test for r_tilde * mu_low
 TOL_ROOT_X = 1e-10  # width of a refined mixed-root bracket
 REFINE_POINTS = 63  # interior points per bracket and refinement step
-_EDGE_PROBE = 1e-9  # offset of an interval's left end past an integer
 
 
 class CandidateDiagnostic(NamedTuple):
@@ -94,73 +90,45 @@ def _diagnose(n0: int, w: float, params: EconomicParams, mu_next: float) -> Cand
     return CandidateDiagnostic(n0, w, lower, r, lower - TOL_EQ <= w <= r + TOL_EQ)
 
 
-def threshold_policy_below_T(params: EconomicParams, policy: ServiceRatePolicy) -> list[int]:
-    """Closed-form pure equilibria in {0..T} for a policy whose rates take two
-    values, mu_l on states 1..T and mu_h above (``policy.threshold_form``).
+def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
+                    mixed_range: tuple[float, float] | None = None) -> EquilibriumReport:
+    """Every pure threshold equilibrium, and with ``mixed_range`` = (x_min, x_max)
+    every mixed one on (x_min, x_max].
 
-    With y = r_tilde * mu_low: y integer and y <= T gives {y-1, y}; y
-    non-integer below T gives {floor(y)}; T < y <= T + mu_l/mu_h with
-    floor(y) = T gives {T}; otherwise none. The boundary
-    y = T + mu_l/mu_h is included (weak inequality); both tests allow TOL_INT.
-    """
-    if policy.threshold_form is None:
-        raise ValueError("requires a two-rate threshold policy")
-    T, mu_l, mu_h = policy.threshold_form
-    y = params.r_tilde * mu_l
-    near = round(y)
-    if abs(y - near) <= TOL_INT:
-        if near <= T:
-            return sorted({k for k in (near - 1, near) if k >= 0})
-        return []
-    fl = math.floor(y)
-    if fl < T:
-        return [fl]
-    if fl == T and y <= T + mu_l / mu_h + TOL_INT:
-        return [T]
-    return []
-
-
-def enumerate_pure_equilibria(params: EconomicParams,
-                              policy: ServiceRatePolicy) -> EquilibriumReport:
-    """Test every candidate threshold and return the sorted equilibrium set.
-
-    The candidates are pure_candidates, scored in one batched solve and judged
-    by the two-sided test alone; the range reported is their ends, for any policy.
-    """
-    scan = pure_candidates(params, policy)
-    mus = policy.rates(scan.stop)[scan.start:].tolist()  # mu_{n0+1} per candidate
-    diagnostics = [_diagnose(n0, w, params, mu)
-                   for n0, w, mu in zip(scan, marginal_delays(policy, scan, params).tolist(), mus)]
-    return EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
-                             candidate_range=(float(scan.start), float(scan.stop - 1)),
-                             diagnostics=diagnostics)
-
-
-def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
-                          x_min: float, x_max: float) -> tuple[list[float], list[tuple[float, float]]]:
-    """Locate mixed threshold equilibria w(x) = r_tilde on (x_min, x_max).
-
-    w is nonincreasing on each unit interval, so the interval's two ends,
-    solved for all intervals in one batch, decide it: both within TOL_EQ
-    of r_tilde make a continuum interval (the two-rate case r_tilde * mu_low
-    an integer at most T), reported whole instead of points; a sign change
-    brackets one root; an end exactly at r_tilde is a root. All brackets are
-    refined together, REFINE_POINTS interior points each in one batched
-    solve per step, until each is at most TOL_ROOT_X wide with an end within
-    TOL_EQ of r_tilde; that end is reported. Roots within 1e-9 of an
+    One batched solve gives w at pure_candidates, at the integers of the range
+    and at its ends, and _diagnose judges each candidate. An interval's ends
+    are w(k+) and w(k+1), or a range end where it cuts the interval: both
+    within TOL_EQ of r_tilde make a continuum interval, reported whole; a sign
+    change brackets one root; a right end exactly at r_tilde is a root. The
+    brackets are refined together, REFINE_POINTS interior points each per
+    batched solve, until each is at most TOL_ROOT_X wide with an end within
+    TOL_EQ of r_tilde, and that end is reported. Roots within 1e-9 of an
     integer are pure thresholds and are dropped.
     """
-    if not (0.0 < x_min < x_max):
-        raise ValueError("need 0 < x_min < x_max")
     r = params.r_tilde
-    ks = np.arange(max(math.floor(x_min), 0), math.ceil(x_max))
+    scan = pure_candidates(params, policy)
+    pts = n0s = np.arange(scan.start, scan.stop, dtype=float)
+    if mixed_range is not None:
+        x_min, x_max = mixed_range
+        if not (0.0 < x_min < x_max):
+            raise ValueError("need 0 < x_min < x_max")
+        pts = np.union1d(n0s, [x_min, *range(math.ceil(x_min), math.floor(x_max) + 1), x_max])
+    w = marginal_delays(policy, pts, params)
+    mu = policy.rates(int(pts[-1]) + 1)  # mu[k] = mu_{k+1}
+    diagnostics = [_diagnose(n0, wk, params, mu_next) for n0, wk, mu_next in zip(
+        scan, w[np.searchsorted(pts, n0s)].tolist(), mu[scan.start:scan.stop].tolist())]
+    report = EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
+                               candidate_range=(float(scan.start), float(scan.stop - 1)),
+                               diagnostics=diagnostics)
+    if mixed_range is None:
+        return report
+    ks = np.arange(math.floor(x_min), math.ceil(x_max))
     lo, hi = np.maximum(ks, x_min), np.minimum(ks + 1.0, x_max)
-    lo, hi = lo[hi > lo], hi[hi > lo]
-    x0 = lo + _EDGE_PROBE
-    f0, f1 = np.split(marginal_delays(policy, np.concatenate((x0, hi)), params) - r, 2)
+    f0 = w[np.searchsorted(pts, lo)] + np.where(lo == ks, 1.0 / mu[ks], 0.0) - r
+    f1 = w[np.searchsorted(pts, hi)] - r
     flat = (np.abs(f0) <= TOL_EQ) & (np.abs(f1) <= TOL_EQ)
     bracket = ~flat & (f0 != 0.0) & (f1 != 0.0) & ((f0 < 0.0) != (f1 < 0.0))
-    a, b, fa, fb = x0[bracket], hi[bracket], f0[bracket], f1[bracket]
+    a, b, fa, fb = lo[bracket], hi[bracket], f0[bracket], f1[bracket]
     inner = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
     live = np.ones(len(a), bool)
     while True:
@@ -177,18 +145,15 @@ def find_mixed_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
         moved = (new[0] != a[live]) | (new[1] != b[live])  # adjacent floats stay put
         a[live], b[live], fa[live], fb[live] = new
         live[live] = moved
-    # one candidate per interval: its bracket's end nearer r_tilde, or an end exactly at it
-    roots = np.where(f0 == 0.0, x0, hi)
-    roots[bracket] = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    residual = np.zeros(len(roots))
-    residual[bracket] = np.minimum(np.abs(fa), np.abs(fb))
-    keep = (bracket | ~flat & ((f0 == 0.0) | (f1 == 0.0))) & (residual <= TOL_EQ)
-    roots = roots[keep & (np.abs(roots - np.round(roots)) > 1e-9)]  # not a pure threshold
-    points: list[float] = []
-    for root in roots.tolist():
-        if not points or root - points[-1] > 1e-8:
-            points.append(root)
-    return points, list(zip(lo[flat].tolist(), hi[flat].tolist()))
+    # per bracket its end nearer r_tilde, and every right end exactly at it
+    near = np.minimum(np.abs(fa), np.abs(fb)) <= TOL_EQ
+    roots = np.sort(np.concatenate((np.where(np.abs(fa) <= np.abs(fb), a, b)[near],
+                                    hi[~flat & (f1 == 0.0)])))
+    for root in roots[np.abs(roots - np.round(roots)) > 1e-9].tolist():  # not a pure threshold
+        if not report.mixed_points or root - report.mixed_points[-1] > 1e-8:
+            report.mixed_points.append(root)
+    report.mixed_intervals = list(zip(lo[flat].tolist(), hi[flat].tolist()))
+    return report
 
 
 def sweep_pure(params: EconomicParams, policy: ServiceRatePolicy,

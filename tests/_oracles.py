@@ -3,7 +3,9 @@
 These deliberately avoid the library's wavefront kernel: the dense oracle
 assembles the full first-step linear system and hands it to a generic
 solver; the loop oracle solves the triangular system one entry at a time;
-the below-threshold brute force checks the two-sided delay condition
+the paper's closed form gives the pure equilibria below a two-rate
+policy's service threshold from r_tilde * mu_low alone; the
+below-threshold brute force checks the two-sided delay condition
 directly with the constant-low-rate closed forms; the best-response scan
 applies the definition of a pure equilibrium to dense solves; the grid loop
 builds the mixed sweep's grid one point at a time; the grid search finds
@@ -23,6 +25,8 @@ import numpy as np
 from threshq.delay import marginal_delays
 from threshq.model import strategy_from_x
 from threshq.sim import _STREAM_SOJOURN, SimConfig, SojournEstimate, _generator
+
+TOL_INT = 1e-9  # integrality test for r_tilde * mu_low in the closed form
 
 
 def _rate(policy, m):
@@ -97,6 +101,33 @@ def best_response_equilibria(params, policy, tol=1e-9):
         if joins and r - at_balk <= tol:
             hits.append(n0)
     return hits
+
+
+def threshold_policy_below_T(params, policy):
+    """The paper's closed form for the pure equilibria in {0..T} of a policy
+    whose rates take two values, mu_l on states 1..T and mu_h above
+    (``policy.threshold_form``).
+
+    With y = r_tilde * mu_low: y integer and y <= T gives {y-1, y}; y
+    non-integer below T gives {floor(y)}; T < y <= T + mu_l/mu_h with
+    floor(y) = T gives {T}; otherwise none. The boundary
+    y = T + mu_l/mu_h is included (weak inequality); both tests allow TOL_INT.
+    """
+    if policy.threshold_form is None:
+        raise ValueError("requires a two-rate threshold policy")
+    T, mu_l, mu_h = policy.threshold_form
+    y = params.r_tilde * mu_l
+    near = round(y)
+    if abs(y - near) <= TOL_INT:
+        if near <= T:
+            return sorted({k for k in (near - 1, near) if k >= 0})
+        return []
+    fl = math.floor(y)
+    if fl < T:
+        return [fl]
+    if fl == T and y <= T + mu_l / mu_h + TOL_INT:
+        return [T]
+    return []
 
 
 def brute_force_below_threshold(params, policy, tol=1e-9):

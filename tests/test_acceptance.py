@@ -13,15 +13,16 @@ import pytest
 
 from threshq.cli import main as cli_main
 from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
-from threshq.equilibrium import (
-    enumerate_pure_equilibria,
-    find_mixed_equilibria,
-    threshold_policy_below_T,
-)
+from threshq.equilibrium import find_equilibria
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
-from _oracles import brute_force_below_threshold, dense_delay_solve, naor_set
+from _oracles import (
+    brute_force_below_threshold,
+    dense_delay_solve,
+    naor_set,
+    threshold_policy_below_T,
+)
 from conftest import random_general_strategy, random_params, random_policy, random_threshold_strategy
 
 CASE_POLICY = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
@@ -94,7 +95,7 @@ def test_criterion_3_constant_rate_reduction():
         else:
             p = EconomicParams(lam, float(rng.uniform(0.0, 12.0)), 1.0)
         policy = ServiceRatePolicy.constant(mu)
-        if enumerate_pure_equilibria(p, policy).pure_equilibria != naor_set(p.r_tilde, mu):
+        if find_equilibria(p, policy).pure_equilibria != naor_set(p.r_tilde, mu):
             mismatches += 1
         n0 = int(rng.integers(1, 9))
         table = solve_delay_table(policy, strategy_from_x(n0), p)
@@ -174,12 +175,12 @@ def test_criterion_6b_pathwise_ordering():
 
 def test_criterion_7_mixed_equilibria():
     p = case_params(8.5)
-    pts, intervals = find_mixed_equilibria(p, CASE_POLICY, 24.0, 40.0)
+    pts = find_equilibria(p, CASE_POLICY, (24.0, 40.0)).mixed_points
     in_25_26 = [x for x in pts if 25.0 < x < 26.0]
     assert len(in_25_26) == 1
     assert abs(marginal_delays(CASE_POLICY, [in_25_26[0]], p)[0] - 8.5) <= 1e-9
     # between consecutive pure equilibria above T with strict boundary conditions
-    above = [k for k in enumerate_pure_equilibria(p, CASE_POLICY).pure_equilibria if k > 23]
+    above = [k for k in find_equilibria(p, CASE_POLICY).pure_equilibria if k > 23]
     for a, b in zip(above, above[1:]):
         if b - a != 1:
             continue
@@ -188,7 +189,7 @@ def test_criterion_7_mixed_equilibria():
         if w_low > p.r_tilde - 0.2 and w_high < p.r_tilde:  # 1/mu_h = 0.2
             assert any(a < x < b for x in pts)
     # continuum: r_tilde * mu_l = 17 is an integer at most T
-    assert (16.0, 17.0) in find_mixed_equilibria(p, CASE_POLICY, 15.5, 18.0)[1]
+    assert (16.0, 17.0) in find_equilibria(p, CASE_POLICY, (15.5, 18.0)).mixed_intervals
     for x in np.linspace(16.05, 16.95, 7):
         assert abs(marginal_delays(CASE_POLICY, [float(x)], p)[0] - 8.5) <= 1e-12
     report("7 (mixed threshold equilibria)")

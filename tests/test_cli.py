@@ -1,6 +1,8 @@
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 from threshq import cli, delay, equilibrium, sim
@@ -169,6 +171,30 @@ class TestEquilibriaCommand:
                                "--mixed-range", "25.000001:26")
         doc = json.loads(out)
         assert code == 0 and len(doc["mixed_points"]) == 1
+
+    @pytest.mark.parametrize("spec, roots", [("24.5:45.5", 3), ("1.5:3", 0)])
+    def test_one_solve_before_refinement(self, monkeypatch, capsys, case_study_instance,
+                                         spec, roots):
+        # the first solve holds the scan 16..42, the range's integers and its
+        # non-integer ends; every later one holds bracket interiors only
+        calls = []
+
+        def record(policy, xs, params):
+            calls.append(np.asarray(xs, dtype=float))
+            return delay.marginal_delays(policy, xs, params)
+        monkeypatch.setattr(equilibrium, "marginal_delays", record)
+        code, out, _ = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                               "--mixed-range", spec)
+        a, b = map(float, spec.split(":"))
+        first, *refine = calls
+        doc = json.loads(out)
+        assert code == 0 and len(doc["mixed_points"]) == roots
+        assert doc["pure"] == [16, 17, 25, 36, 37]
+        assert first.tolist() == sorted({*range(16, 43), *range(math.ceil(a), math.floor(b) + 1),
+                                         a, b})
+        assert bool(refine) == bool(roots)
+        for xs in refine:
+            assert len(xs) % equilibrium.REFINE_POINTS == 0 and np.all(xs != np.round(xs))
 
     def test_mixed_range_step_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
@@ -455,6 +481,14 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "integers" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", ["-3:-1:0.5", "-1:0.5:2"])
+    def test_mixed_range_without_positive_point_exit_2(self, capsys, case_study_instance, spec):
+        # the grid -1, 1 stops at -1 in the second range: no point lies in (0, b]
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
+                                 "--kind", "mixed_x", "--range", spec)
+        assert (code, out, err) == (2, "", f"error: bad --range '{spec}'; mixed_x has no grid "
+                                           "point above 0\n")
+
     def test_pure_range_from_0_exit_2(self, capsys, case_study_instance):
         # n0 = 0 has no marginal delay, so the sweep could only start above the range
         code, out, err = run_cli(capsys, "sweep", "--instance", str(case_study_instance),
@@ -485,6 +519,11 @@ class TestVerifyCouplingCommand:
                                "--n", "2", "--n0", "5", "--reps", "500", "--seed", "6")
         assert code == 0
         assert "violations=0" in out
+
+    def test_negative_n0_without_x_names_n0(self, capsys, case_study_instance):
+        code, out, err = run_cli(capsys, "verify-coupling", "--instance", str(case_study_instance),
+                                 "--n", "1", "--n0", "-3")
+        assert (code, out, err) == (2, "", "error: --n0 must be nonnegative, got -3\n")
 
 
 class TestNearIntegerThreshold:

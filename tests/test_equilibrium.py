@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from threshq.equilibrium import (
     TOL_EQ,
     CandidateDiagnostic,
-    enumerate_pure_equilibria,
-    find_mixed_equilibria,
+    find_equilibria,
     sweep_mixed,
     sweep_pure,
-    threshold_policy_below_T,
 )
 from threshq import equilibrium as eq_mod
 from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
@@ -25,6 +23,7 @@ from _oracles import (
     grid_mixed_equilibria,
     naor_set,
     sweep_grid_loop,
+    threshold_policy_below_T,
 )
 from conftest import random_policy
 
@@ -40,8 +39,14 @@ def gap(n, x, p, pol):
 
 
 def diagnostic(n0, p, pol):
-    """The two-sided test of candidate n0, as enumerate_pure_equilibria reports it."""
-    return next(d for d in enumerate_pure_equilibria(p, pol).diagnostics if d.n0 == n0)
+    """The two-sided test of candidate n0, as find_equilibria reports it."""
+    return next(d for d in find_equilibria(p, pol).diagnostics if d.n0 == n0)
+
+
+def mixed_equilibria(p, pol, x_min, x_max):
+    """The mixed points and continuum intervals find_equilibria reports on (x_min, x_max]."""
+    rep = find_equilibria(p, pol, (x_min, x_max))
+    return rep.mixed_points, rep.mixed_intervals
 
 
 class TestNetBenefit:
@@ -73,24 +78,24 @@ class TestBestResponse:
 
 
 class TestPureCandidateRange:
-    """The reported candidate_range of enumerate_pure_equilibria."""
+    """The reported candidate_range of find_equilibria."""
 
     def test_two_rate_bounds(self):
         # the scan's ends, as for any policy; the paper's L and U are --table1's
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
-        assert enumerate_pure_equilibria(params_R(8.0), pol).candidate_range == (15.0, 40.0)
-        assert enumerate_pure_equilibria(params_R(13.0), pol).candidate_range == (25.0, 65.0)
+        assert find_equilibria(params_R(8.0), pol).candidate_range == (15.0, 40.0)
+        assert find_equilibria(params_R(13.0), pol).candidate_range == (25.0, 65.0)
 
     def test_general_bounds(self):
         # the scan bounds r_tilde mu_1 - 1 <= n0 <= r_tilde M
         pol = ServiceRatePolicy((1.0,), 2.0)
         p = params_R(3.0, lam=1.0)
-        low, high = enumerate_pure_equilibria(p, pol).candidate_range
+        low, high = find_equilibria(p, pol).candidate_range
         assert low == math.ceil(3.0 * 1.0 - 1.0) and high == 6
 
     def test_zero_reward(self):
         pol = ServiceRatePolicy.constant(2.0)
-        low, high = enumerate_pure_equilibria(params_R(0.0), pol).candidate_range
+        low, high = find_equilibria(params_R(0.0), pol).candidate_range
         assert high == 0 and low == 0
 
     def test_scan_over_the_limit_refused_before_solving(self, monkeypatch):
@@ -99,8 +104,7 @@ class TestPureCandidateRange:
         monkeypatch.setattr(eq_mod, "marginal_delays", refuse)
         # r_tilde * M = 10^12: the scan's last full table is refused, not allocated
         with pytest.raises(ValueError, match="over the limit"):
-            enumerate_pure_equilibria(EconomicParams(1.0, 1e12, 1.0),
-                                      ServiceRatePolicy.constant(1.0))
+            find_equilibria(EconomicParams(1.0, 1e12, 1.0), ServiceRatePolicy.constant(1.0))
 
 
 class TestIsPureEquilibrium:
@@ -118,7 +122,7 @@ class TestIsPureEquilibrium:
         pol = ServiceRatePolicy.constant(2.0)
         p = params_R(3.3, lam=1.0)  # r mu = 6.6, not integer
         assert diagnostic(6, p, pol).is_equilibrium
-        assert enumerate_pure_equilibria(p, pol).pure_equilibria == [6]
+        assert find_equilibria(p, pol).pure_equilibria == [6]
         # W(n0-1, n0) = n0/2: 2.5 is below r - 1/mu = 2.8, 3.5 above r = 3.3
         assert marginal_delays(pol, [5.0], p)[0] < p.r_tilde - 0.5 - TOL_EQ
         assert marginal_delays(pol, [7.0], p)[0] > p.r_tilde + TOL_EQ
@@ -126,7 +130,7 @@ class TestIsPureEquilibrium:
     def test_always_balk_degenerate(self):
         pol = ServiceRatePolicy.constant(2.0)
         assert diagnostic(0, params_R(0.4, lam=1.0), pol).is_equilibrium
-        assert 0 not in enumerate_pure_equilibria(params_R(0.6, lam=1.0), pol).pure_equilibria
+        assert 0 not in find_equilibria(params_R(0.6, lam=1.0), pol).pure_equilibria
 
     def test_diagnostic_fields(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
@@ -172,7 +176,7 @@ class TestThresholdPolicyBelowT:
             closed = threshold_policy_below_T(p, pol)
             assert closed == brute_force_below_threshold(p, pol)
             # the one scan agrees with the closed form below the service threshold
-            pure = enumerate_pure_equilibria(p, pol).pure_equilibria
+            pure = find_equilibria(p, pol).pure_equilibria
             assert [n0 for n0 in pure if n0 <= T] == closed
 
 
@@ -187,25 +191,25 @@ class TestEnumeratePure:
             13.0: [64],
         }
         for R, eqs in expect.items():
-            assert enumerate_pure_equilibria(params_R(R), pol).pure_equilibria == eqs
+            assert find_equilibria(params_R(R), pol).pure_equilibria == eqs
 
     def test_naor_reduction(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
             mu = float(rng.uniform(0.5, 4.0))
             p = EconomicParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 10.0)), 1.0)
-            rep = enumerate_pure_equilibria(p, ServiceRatePolicy.constant(mu))
+            rep = find_equilibria(p, ServiceRatePolicy.constant(mu))
             assert rep.pure_equilibria == naor_set(p.r_tilde, mu)
 
     def test_zero_reward_always_balk(self):
-        rep = enumerate_pure_equilibria(params_R(0.0), ServiceRatePolicy.constant(2.0))
+        rep = find_equilibria(params_R(0.0), ServiceRatePolicy.constant(2.0))
         assert rep.pure_equilibria == [0]
 
     def test_fixed_point_property(self):
         # reported equilibria are best responses to themselves on the recurrent class
         pol = ServiceRatePolicy.two_rate(6, 1.0, 2.5)
         p = params_R(4.0, lam=2.0)
-        rep = enumerate_pure_equilibria(p, pol)
+        rep = find_equilibria(p, pol)
         assert rep.pure_equilibria
         for n0 in rep.pure_equilibria:
             if n0 == 0:
@@ -227,7 +231,7 @@ class TestEnumeratePure:
             # r_tilde M <= 15 keeps the dense solves small
             p = EconomicParams(float(rng.uniform(0.3, 4.0)),
                                float(rng.uniform(0.0, 15.0 / pol.max_rate)), 1.0)
-            assert enumerate_pure_equilibria(p, pol).pure_equilibria == \
+            assert find_equilibria(p, pol).pure_equilibria == \
                 best_response_equilibria(p, pol), (pol, p)
 
     def test_range_soundness(self):
@@ -237,7 +241,7 @@ class TestEnumeratePure:
 
             pol = random_policy(rng)
             p = random_params(rng)
-            rep = enumerate_pure_equilibria(p, pol)
+            rep = find_equilibria(p, pol)
             low, high = rep.candidate_range
             for n0 in rep.pure_equilibria:
                 if n0 == 0:
@@ -246,7 +250,7 @@ class TestEnumeratePure:
 
     def test_report_serialization(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
-        rep = enumerate_pure_equilibria(params_R(8.5), pol)
+        rep = find_equilibria(params_R(8.5), pol)
         doc = json.loads(json.dumps(rep.to_json_dict()))
         assert doc["pure"] == [16, 17, 25, 36, 37]
         assert doc["scope"] == "recurrent-class"
@@ -291,7 +295,9 @@ def mixed_instances(draw):
     """(params, policy, x_min, x_max): a general or two-rate policy and a
     search range up to x = 14 whose ends are drawn as floats, so mostly not
     integers. The reward is w(x) at a drawn x, so a root lies near it, or
-    r_tilde mu_low an integer at most T (a continuum interval), or free."""
+    r_tilde mu_low an integer at most T (a continuum interval), or free. The
+    "whole" kind draws the reward as "root" does and searches all of
+    (1e-6, r_tilde M + 2], past every pure candidate."""
     lam = draw(st.floats(0.3, 6.0))
     if draw(st.booleans()):
         mu_l = draw(st.floats(0.3, 4.0))
@@ -302,7 +308,7 @@ def mixed_instances(draw):
         policy = ServiceRatePolicy(tuple(rates[:-1]), rates[-1])
     x_min = draw(st.floats(0.05, 8.0))
     x_max = x_min + draw(st.floats(0.05, 6.0))
-    kind = draw(st.sampled_from(["root", "continuum", "free"]))
+    kind = draw(st.sampled_from(["root", "continuum", "free", "whole"]))
     if kind == "continuum" and policy.threshold_form is not None:
         T, mu_l, _ = policy.threshold_form
         r = draw(st.integers(1, T)) / mu_l
@@ -311,6 +317,8 @@ def mixed_instances(draw):
     else:
         x = draw(st.floats(x_min, x_max))
         r = float(marginal_delays(policy, [x], params_R(1.0, lam=lam))[0])
+    if kind == "whole":
+        x_min, x_max = 1e-6, r * policy.max_rate + 2.0
     return params_R(r, lam=lam), policy, x_min, x_max
 
 
@@ -318,26 +326,26 @@ class TestFindMixedEquilibria:
     POL = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
 
     def test_case_study_root_between_25_and_26(self):
-        pts, _ = find_mixed_equilibria(params_R(8.5), self.POL, 25.0 + 1e-12, 26.0)
+        pts, _ = mixed_equilibria(params_R(8.5), self.POL, 25.0 + 1e-12, 26.0)
         assert len(pts) == 1
         assert 25.0 < pts[0] < 26.0
         assert abs(marginal_delays(self.POL, [pts[0]], params_R(8.5))[0] - 8.5) <= 1e-9
 
     def test_continuum_interval_reported(self):
-        pts, ivals = find_mixed_equilibria(params_R(8.5), self.POL, 15.0 + 1e-9, 18.0)
+        pts, ivals = mixed_equilibria(params_R(8.5), self.POL, 15.0 + 1e-9, 18.0)
         assert (16.0, 17.0) in ivals
 
     def test_root_between_consecutive_pure_equilibria(self):
         # 36 and 37 are both pure equilibria for R = 8.5 (strict interior case)
-        pts, _ = find_mixed_equilibria(params_R(8.5), self.POL, 36.0 + 1e-12, 37.0)
+        pts, _ = mixed_equilibria(params_R(8.5), self.POL, 36.0 + 1e-12, 37.0)
         assert len(pts) >= 1
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            find_mixed_equilibria(params_R(8.5), self.POL, 5.0, 2.0)
+            mixed_equilibria(params_R(8.5), self.POL, 5.0, 2.0)
 
     def test_roots_are_noninteger(self):
-        pts, _ = find_mixed_equilibria(params_R(8.5), self.POL, 24.0, 40.0)
+        pts, _ = mixed_equilibria(params_R(8.5), self.POL, 24.0, 40.0)
         for x in pts:
             assert abs(x - round(x)) > 1e-9
 
@@ -345,7 +353,7 @@ class TestFindMixedEquilibria:
     @given(mixed_instances())
     def test_matches_grid_search(self, instance):
         params, policy, x_min, x_max = instance
-        pts, ivals = find_mixed_equilibria(params, policy, x_min, x_max)
+        pts, ivals = mixed_equilibria(params, policy, x_min, x_max)
         ref_pts, ref_ivals = grid_mixed_equilibria(params, policy, x_min, x_max)
         assert ivals == ref_ivals
         assert len(pts) == len(ref_pts) and np.allclose(pts, ref_pts, rtol=0.0, atol=1e-8)
@@ -356,12 +364,15 @@ class TestFindMixedEquilibria:
     @given(mixed_instances())
     def test_w_nonincreasing_on_unit_intervals(self, instance):
         # joiners at state k queue behind the marginal customer and can only
-        # speed its service, so w falls as x - k grows; rounding only may rise
+        # speed its service, so w falls as x - k grows; rounding only may rise.
+        # Its right limit at k adds one service at mu_{k+1} to w(k).
         params, policy, x_min, x_max = instance
+        mu = policy.rates(math.ceil(x_max))
         for k in range(math.floor(x_min), math.ceil(x_max)):
-            xs = k + np.concatenate(([1e-9], np.arange(1, 65) / 64))
+            xs = k + np.concatenate(([0.0, 1e-12, 1e-9], np.arange(1, 65) / 64))
             w = marginal_delays(policy, xs, params)
-            assert np.all(np.diff(w) <= 1e-12 * np.abs(w[:-1])), k
+            assert w[1] == pytest.approx(w[0] + 1.0 / mu[k], rel=1e-10, abs=0.0), k
+            assert np.all(np.diff(w[1:]) <= 1e-12 * np.abs(w[1:-1])), k
 
 
 class TestSweeps:

@@ -339,5 +339,6 @@ class TestPackage:
         assert sorted(threshq.__all__) == sorted(imported)
         for gone in ("net_benefit", "best_response", "is_pure_equilibrium",
                      "pure_marginal_delay", "arrival_delays", "balk_upper_bound",
-                     "marginal_delay", "pure_candidate_range"):
+                     "marginal_delay", "pure_candidate_range", "enumerate_pure_equilibria",
+                     "find_mixed_equilibria", "threshold_policy_below_T"):
             assert not hasattr(threshq, gone)
