@@ -12,6 +12,10 @@ delay_kernel.seconds).
   lambda = 3) under the pure threshold 24, n = 12, 10^4 replications.
 - simulate_sojourn.case_study_n0_26: the case study under x = 25.5 (balk
   state 26), n = 12, 10^5 replications.
+- simulate_sojourn.case_study_x24_5_n12_1e6: the case study under x = 24.5
+  (balk state 25), n = 12, 10^6 replications: the shape and size of the
+  case-study simulate query that dominates the monte-carlo benchmark
+  workload (one call per repeat).
 - simulate_sojourn.general_n0_101: a general policy whose rates rise
   linearly from 1 to 4 over the first 90 states, then stay at 4, with
   lambda = 3, under x = 100.5 (balk state 101, so the packed state code
@@ -37,6 +41,7 @@ def main() -> dict:
                      ServiceRatePolicy.constant(2.0), strategy_from_x(200.0))
     coupled = SimConfig(1, 10_000, case, CASE, strategy_from_x(24.0))
     sojourn = SimConfig(1, 100_000, case, CASE, strategy_from_x(25.5))
+    dominant = SimConfig(1, 1_000_000, case, CASE, strategy_from_x(24.5))
     general = SimConfig(1, 20_000, case, ServiceRatePolicy(tuple(np.linspace(1.0, 4.0, 90)), 4.0),
                         strategy_from_x(100.5))
     rows = {
@@ -44,6 +49,7 @@ def main() -> dict:
         "run_coupling.n0_200_n_2.s": seconds(lambda: run_coupling(wide, 2)),
         "run_coupling.case_study_n0_24.s": seconds(lambda: run_coupling(coupled, 12)),
         "simulate_sojourn.case_study_n0_26.s": seconds(lambda: simulate_sojourn(sojourn, 12)),
+        "simulate_sojourn.case_study_x24_5_n12_1e6.s": seconds(lambda: simulate_sojourn(dominant, 12)),
         "simulate_sojourn.general_n0_101.s": seconds(lambda: simulate_sojourn(general, 50)),
     }
     return {"python": platform.python_version(), "numpy": np.__version__,

@@ -151,7 +151,7 @@ def cmd_simulate(args, params, policy) -> int:
 def cmd_verify_coupling(args, params, policy) -> int:
     if args.x is None and args.n0 < 0:
         raise InstanceError(f"--n0 must be nonnegative, got {args.n0}")
-    x = args.x if args.x is not None else float(args.n0)
+    x = args.x if args.x is not None else _finite(args.n0, "--n0")  # an int past any float is inf
     # ceil(x) is the balk state, held to the budget of every other command
     delay_mod.check_table_size(x, "x")
     delay_mod.check_cells(args.reps * (args.n + 1), "--reps x (n + 1)")

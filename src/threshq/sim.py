@@ -3,13 +3,15 @@
 Each call draws from one counter-based (Philox) generator keyed by (seed mod
 2**64, stream), so identical configs give bit-identical output. Both
 simulators advance their live replications in lock-step, one vectorized event
-per replication per step; they keep arrays of live replications only,
-filtered after a step where one finished, and write a finished replication's
-results to its own row. A sojourn replication is one int code packing the
-customers ahead and present. In the coupling, the two systems read the same
-draw for each arrival and join coin, and the same service requirement for
-each initial customer; only those are ever served, so each system tracks just
-the one in service, in 1-D arrays of its own, and events are picked elementwise.
+per replication per step, and keep arrays of live replications only, filtered
+after a step where one finished. ``simulate_sojourn`` estimates W(n) by the
+conditional expectation of the sojourn given the jump chain, so it draws only
+join coins and samples no holding times; a replication is one int code
+packing the customers ahead and present. In the coupling, the two systems
+read the same draw for each arrival and join coin, and the same service
+requirement for each initial customer; only those are ever served, so each
+system tracks just the one in service, in 1-D arrays of its own, events are
+picked elementwise, and a finished replication's departures go to its own row.
 """
 from __future__ import annotations
 
@@ -80,16 +82,21 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
-    """Estimate the sojourn of a tagged customer who joins upon finding n
-    present (joining even at the balk state); all future arrivals follow the
-    configured strategy. Returns mean and 95% normal-approximation half-width.
+    """Estimate W(n), the expected sojourn of a tagged customer who joins upon
+    finding n present (joining even at the balk state); all future arrivals
+    follow the configured strategy. Returns mean and 95% normal-approximation
+    half-width.
 
     The tagged customer's path is the jump chain of (customers ahead, customers
     present) with arrival rate lambda * p_m and service rate mu_m at m present,
-    exactly the first-step system the analytic solver uses. A replication's
-    state is one code ``ahead << shift | (m - 1)``, m - 1 <= n0 < 2**shift: an
+    exactly the first-step system the analytic solver uses. Given the path, the
+    holding times are independent with means 1 / rate, so each step adds
+    1 / rate instead of a draw: the sojourn's conditional expectation, unbiased
+    for W(n) and of no larger variance (Rao-Blackwell). A replication's state
+    is one code ``ahead << shift | (m - 1)``, m - 1 <= n0 < 2**shift: an
     arrival adds 1, a departure subtracts 2**shift + 1, and the code turns
-    negative once the tagged customer has left, when its sojourn is stored.
+    negative once the tagged customer has left. Sojourns are kept in the order
+    they finish, which the mean and sd do not depend on.
     """
     n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
@@ -98,19 +105,19 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     rng = _generator(config.seed, _STREAM_SOJOURN)
     lp = config.params.arrival_rate * np.append(config.strategy.probs, 0.0)[1:]  # [m - 1] at m
     rate = lp + config.policy.rates(n0 + 1)
-    join = lp / rate
+    hold, join = 1.0 / rate, lp / rate
     shift = n0.bit_length()
     mask = (1 << shift) - 1
-    rows, t, sojourn = np.arange(reps), np.zeros(reps), np.empty(reps)
-    code = np.full(reps, n << shift | n)  # n ahead, m = n + 1 present
-    while len(rows):
+    t, code, finished = np.zeros(reps), np.full(reps, n << shift | n), []  # n ahead, n + 1 present
+    while len(code):
         state = code & mask  # m - 1 with m present
-        t += rng.exponential(1.0, len(rows)) / rate[state]
-        code += (rng.random(len(rows)) < join[state]) * (mask + 3) - (mask + 2)
-        done = code < 0
-        if done.any():
-            sojourn[rows[done]] = t[done]
-            rows, code, t = rows[~done], code[~done], t[~done]
+        t += hold[state]
+        code += (rng.random(len(code)) < join[state]) * (mask + 3) - (mask + 2)
+        live = code >= 0
+        if not live.all():
+            finished.append(t[~live])
+            code, t = code[live], t[live]
+    sojourn = np.concatenate(finished)
     mean = float(np.mean(sojourn))
     sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
     half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")

@@ -14,7 +14,8 @@ without assuming that w is monotone there; the ring-buffer coupling block
 stores every customer's requirement, joiners included, in an n0-wide ring
 per system and replaces ``threshq.sim._couple_block`` when a test patches
 it in; the masked sojourn loop keeps every replication in full-size arrays
-behind an alive mask and re-indexes them all at every step.
+behind an alive mask, re-indexes them all at every step, and adds each
+step's mean holding time from rates it recomputes from the state.
 """
 from __future__ import annotations
 
@@ -311,8 +312,11 @@ def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, m
 def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     """``threshq.sim.simulate_sojourn`` as a mask over all replications: each
     step gathers the live ones with ``np.nonzero(alive)``, recomputes their
-    rates from the state, and scatters the results back into full-size arrays.
-    Same draws in the same order, so it agrees with the library bit for bit."""
+    rates from the state, adds the mean holding time 1 / rate, draws one join
+    coin each, and scatters the results back into full-size arrays. The mean
+    and sd are taken over the sojourns ordered by finishing step, then by
+    replication, the library's order; same draws in the same order, so it
+    agrees with the library bit for bit."""
     n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
         raise ValueError(f"arrival state {n} outside [0, {n0}]")
@@ -324,7 +328,9 @@ def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     ahead = np.full(reps, n, dtype=np.int64)
     total = np.full(reps, n + 1, dtype=np.int64)
     sojourn = np.zeros(reps)
+    finish_step = np.zeros(reps, dtype=np.int64)
     alive = np.ones(reps, dtype=bool)
+    step = 0
     while True:
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
@@ -332,12 +338,16 @@ def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
         m = total[idx]
         lp = lam * pvec[m]
         rate = lp + muvec[m - 1]
-        sojourn[idx] += rng.exponential(1.0, idx.size) / rate
+        sojourn[idx] += 1.0 / rate
         arrive = rng.random(idx.size) < lp / rate
         total[idx] = np.where(arrive, m + 1, m - 1)
         cur = ahead[idx]
         ahead[idx] = np.where(arrive, cur, cur - 1)
-        alive[idx[(~arrive) & (cur == 0)]] = False
+        gone = idx[(~arrive) & (cur == 0)]
+        alive[gone] = False
+        finish_step[gone] = step
+        step += 1
+    sojourn = sojourn[np.argsort(finish_step, kind="stable")]
     mean = float(np.mean(sojourn))
     sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
     half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")

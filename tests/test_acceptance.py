@@ -242,7 +242,8 @@ def test_criterion_9_monte_carlo_agreement():
         table = solve_delay_table(policy, strategy, params)
         analytic = arrival_delay(table, policy, n)
         se = est.half_width_95 / 1.959963984540054
-        if abs(est.mean - analytic) > 3 * se:
+        # a path with no random holding gives se ~ 0, where rounding dominates
+        if abs(est.mean - analytic) > max(3 * se, 1e-12 * analytic):
             failures += 1
     assert failures <= 2
     report(f"9 (Monte Carlo agreement, {failures} flagged of 50)")

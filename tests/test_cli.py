@@ -372,6 +372,7 @@ class TestSimulationInputBoundary:
         ("simulate", ["--n", "1", "--x", "2e7"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "5", "--x", "inf"], "finite"),
         ("verify-coupling", ["--n", "1", "--n0", "20000000"], "over the limit"),
+        ("verify-coupling", ["--n", "1", "--n0", "1" + "0" * 400], "--n0 must be a finite"),
         ("simulate", ["--n", "1", "--x", "3", "--reps", "1000000000000"], "over the limit"),
         ("simulate", ["--n", "1", "--x", "3", "--reps", "10000001"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "3", "--reps", "1000000000000"],
@@ -505,6 +506,17 @@ class TestSimulateCommand:
         fields = dict(kv.split("=") for kv in out.split())
         assert abs(float(fields["mean"]) - float(fields["analytic"])) <= \
             2 * float(fields["half_width_95"])
+
+    def test_exact_without_random_holding(self, capsys, case_study_instance):
+        # at x = 1 a joiner at n = 0 is served alone at rate 2: every
+        # replication adds 1 / 2, so the estimate is W(0) with zero width
+        code, out, _ = run_cli(capsys, "simulate", "--instance", str(case_study_instance),
+                               "--n", "0", "--x", "1", "--reps", "1000")
+        assert code == 0
+        fields = {k: float(v) for k, v in (kv.split("=") for kv in out.split())}
+        mean, analytic = fields["mean"], fields["analytic"]
+        assert abs(mean - analytic) <= 4 * math.ulp(analytic)
+        assert fields["half_width_95"] <= 1e-15 * mean
 
     def test_single_rep_flagged(self, capsys, constant_instance):
         code, out, _ = run_cli(capsys, "simulate", "--instance", str(constant_instance),
