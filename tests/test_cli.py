@@ -372,12 +372,12 @@ class TestSimulationInputBoundary:
         ("simulate", ["--n", "1", "--x", "2e7"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "5", "--x", "inf"], "finite"),
         ("verify-coupling", ["--n", "1", "--n0", "20000000"], "over the limit"),
-        ("verify-coupling", ["--n", "1", "--n0", "1" + "0" * 400], "--n0 must be a finite"),
         ("simulate", ["--n", "1", "--x", "3", "--reps", "1000000000000"], "over the limit"),
         ("simulate", ["--n", "1", "--x", "3", "--reps", "10000001"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "3", "--reps", "1000000000000"],
          "over the limit"),
         ("verify-coupling", ["--n", "4", "--n0", "5", "--reps", "2000001"], "over the limit"),
+        ("verify-coupling", ["--n", "1", "--n0", "1" + "0" * 400], "--n0 must be a finite"),
     ])
     def test_exit_2_before_simulating(self, capsys, case_study_instance, no_simulation,
                                       command, args, message):
