@@ -1,10 +1,15 @@
 """Command-line front end: delay tables, equilibrium reports, sweeps, simulation.
 
 Exit codes: 0 success, 2 malformed input, 3 property violation (coupling).
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused: building it costs more than a small query's solve, and parsing
+leaves no state in it. Importing this module builds nothing.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -54,6 +59,20 @@ def _parse_range(spec: str) -> tuple[float, float, float | None]:
     return a, b, step
 
 
+def _rewards(spec: str) -> list[float]:
+    """The --table1 rewards: a comma-separated list of finite numbers; blank items are skipped."""
+    rewards = []
+    for item in filter(str.strip, spec.split(",")):
+        try:
+            value = float(item)
+        except ValueError:
+            raise InstanceError(f"--table1 reward must be a number, got {item!r}") from None
+        rewards.append(_finite(value, "--table1 reward"))
+    if not rewards:
+        raise InstanceError(f"--table1 lists no reward, got {spec!r}")
+    return rewards
+
+
 def _write(outdir: str | None, name: str, text: str) -> None:
     if outdir is None:
         sys.stdout.write(text)
@@ -86,11 +105,11 @@ def cmd_equilibria(args, params, policy) -> int:
     if args.table1:
         if args.mixed_range:
             raise InstanceError("--table1 takes no --mixed-range")
-        rewards = [_finite(float(r), "--table1 reward") for r in args.table1.split(",") if r.strip()]
+        rewards = _rewards(args.table1)
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
         # the largest reward has the longest scan: refuse it before any solve
-        eq_mod.pure_candidates(EconomicParams(params.arrival_rate, max(rewards, default=0.0),
+        eq_mod.pure_candidates(EconomicParams(params.arrival_rate, max(rewards),
                                               params.wait_cost), policy)
         T, mu_l, mu_h = policy.threshold_form
         rows = []
@@ -167,39 +186,45 @@ def cmd_verify_coupling(args, params, policy) -> int:
     return EXIT_VIOLATION if record["violations"] > 0 else EXIT_OK
 
 
-def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """A subcommand that runs ``func(args, params, policy)`` on its --instance."""
+def _command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand that ``main`` runs as ``cmd_<name>(args, params, policy)`` on its --instance."""
     p = sub.add_parser(name, help=help)
     # a value may start with '-' (-1:3, -1e5, -inf), not only plain negative numbers
     p._negative_number_matcher = re.compile(r"-[^-]")
     p.add_argument("--instance", required=True)
-    p.set_defaults(func=func)
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by later ones.
+
+    Building it (6 parsers, a help formatter per argument) takes about 1 ms;
+    ``parse_args`` leaves it unchanged and every default is immutable, so
+    reuse changes no output. It holds command names, not functions. Do not
+    change the shared parser; ``build_parser.__wrapped__()`` builds a fresh one.
+    """
     ap = argparse.ArgumentParser(prog="threshq",
                                  description="Threshold equilibria in observable queues "
                                              "with state-dependent service rates")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    d = _command(sub, "delay", cmd_delay, "solve and emit the delay table")
+    d = _command(sub, "delay", "solve and emit the delay table")
     d.add_argument("--x", type=float, required=True, help="joining threshold")
 
-    e = _command(sub, "equilibria", cmd_equilibria, "enumerate threshold equilibria")
+    e = _command(sub, "equilibria", "enumerate threshold equilibria")
     e.add_argument("--table1", default=None, help="comma-separated reward list")
     e.add_argument("--mixed-range", default=None, help="a:b search range for mixed equilibria")
 
-    s = _command(sub, "sweep", cmd_sweep, "marginal-delay sweep as CSV")
+    s = _command(sub, "sweep", "marginal-delay sweep as CSV")
     s.add_argument("--kind", choices=["pure_n0", "mixed_x"], required=True)
     s.add_argument("--range", required=True, help="a:b[:step]")
 
-    m = _command(sub, "simulate", cmd_simulate, "Monte Carlo sojourn estimate vs analytic")
+    m = _command(sub, "simulate", "Monte Carlo sojourn estimate vs analytic")
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--x", type=float, required=True, help="joining threshold")
 
-    c = _command(sub, "verify-coupling", cmd_verify_coupling,
-                 "check the pathwise sojourn ordering")
+    c = _command(sub, "verify-coupling", "check the pathwise sojourn ordering")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--n0", type=int, required=True)
     c.add_argument("--x", type=float, default=None, help="mixed threshold (default: pure n0)")
@@ -215,9 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.out = args.out or None  # an empty --out is absent
+    # looked up per call, so a name rebound after the parser was built is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         params, policy = load_instance(args.instance)
-        return args.func(args, params, policy)
+        return command(args, params, policy)
     except ValueError as exc:  # InstanceError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -234,6 +237,16 @@ class TestEquilibriaCommand:
         assert code == 2 and out == ""
         assert err == "error: --table1 reward must be a finite number, got nan\n"
 
+    @pytest.mark.parametrize("rewards, message", [
+        (",", "--table1 lists no reward, got ','"),
+        ("abc", "--table1 reward must be a number, got 'abc'"),
+        ("8.5,9x", "--table1 reward must be a number, got '9x'"),
+    ], ids=["no_reward", "not_a_number", "second_not_a_number"])
+    def test_table1_bad_list_exit_2(self, capsys, case_study_instance, rewards, message):
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                                 "--table1", rewards)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_tol_eq_flag_removed(self, capsys, case_study_instance):
         # the equality tolerance is the constant TOL_EQ: no flag may move it
         with pytest.raises(SystemExit) as exc:
@@ -306,6 +319,47 @@ class TestEmptyOut:
         assert expected[0] == 0
         assert run_cli(capsys, *argv, "--out", "") == expected
         assert list(tmp_path.iterdir()) == [case_study_instance]
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a later call sees no trace of
+    an earlier one."""
+
+    def test_no_state_carried(self, tmp_path, monkeypatch, capsys, case_study_instance):
+        monkeypatch.chdir(tmp_path)
+        instance = ["--instance", str(case_study_instance)]
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *instance, "--n", "1"])  # no --x
+        assert exc.value.code == 2
+        capsys.readouterr()
+        sequence = [
+            ["verify-coupling", *instance, "--n", "2", "--n0", "5", "--reps", "50", "--seed", "3"],
+            ["simulate", *instance, "--n", "2", "--x", "5"],  # --reps and --seed by default
+            ["delay", *instance, "--x", "3", "--out", str(tmp_path / "out")],
+            ["delay", *instance, "--x", "3", "--out", ""],
+        ]
+        first = run_cli(capsys, *sequence[0])
+        assert first[0] == 0
+        for argv in sequence[1:]:
+            assert run_cli(capsys, *argv)[0] == 0
+        assert (tmp_path / "out" / "delay_table.csv").is_file()
+        fresh = cli.build_parser.__wrapped__()
+        for argv in sequence:
+            assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        assert run_cli(capsys, *sequence[0]) == first
+
+    def test_rebound_command_is_run(self, monkeypatch, capsys, case_study_instance):
+        argv = ["delay", "--instance", str(case_study_instance), "--x", "1"]
+        assert run_cli(capsys, *argv)[0] == 0  # the parser is built by now
+        monkeypatch.setattr(cli, "cmd_delay", lambda args, params, policy: 7)
+        assert main(argv) == 7
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import threshq.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout == "0\n"
 
 
 class TestWorkBudget:
