@@ -12,9 +12,12 @@ existed, run that checkout's own copy of this script.
   (candidates from about r_tilde mu_1 up to r_tilde M); on the case study
   at reward 8.5, and at reward 60 (r_tilde M = 300).
 - find_equilibria.mixed_k: the case study at reward 20 with the mixed range
-  one unit interval (k, k+1], where w(x) < r_tilde throughout: the one
-  solve of the scan's 62 candidates and the interval's ends, with no root
-  to refine.
+  one unit interval (k, k+1]: the one solve of the scan's 62 candidates
+  (39..100), with no root to refine. k = 25 lies below the scan, so that
+  row times the scan alone; (45, 46] is searched, and w(x) < r_tilde there.
+- find_equilibria.mixed_wide: the case study at reward 8.5 with the mixed
+  range (0.5, 300), far past its scan 16..42: the search solves the scan
+  alone and refines the roots in it.
 - sweep_mixed, find_equilibria.mixed_24_46: the case study at reward 9.1
   over 24..46, the benchmark's slowest queries: a sweep at step 0.05 and
   the search with its mixed range.
@@ -61,6 +64,8 @@ def main() -> dict:
     for k in (25, 45):
         rows[f"find_equilibria.mixed_k_{k}.s"] = seconds(
             lambda: find_equilibria(far, CASE, (float(k), k + 1.0)))
+    rows["find_equilibria.mixed_wide.s"] = seconds(
+        lambda: find_equilibria(case, CASE, (0.5, 300.0)))
     for rm in (60, 200):
         params = EconomicParams(1.5, rm / GENERAL.max_rate, 1.0)
         rows[f"find_equilibria.pure.rM_{rm}.s"] = seconds(

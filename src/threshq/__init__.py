@@ -15,7 +15,6 @@ from .equilibrium import (
     EquilibriumReport,
     find_equilibria,
     sweep_mixed,
-    sweep_pure,
 )
 from .sim import CouplingOutcome, SimConfig, SojournEstimate, run_coupling, simulate_sojourn
 
@@ -34,7 +33,6 @@ __all__ = [
     "EquilibriumReport",
     "find_equilibria",
     "sweep_mixed",
-    "sweep_pure",
     "CouplingOutcome",
     "SimConfig",
     "SojournEstimate",

@@ -142,7 +142,7 @@ def cmd_sweep(args, params, policy) -> int:
         if step is not None or not (a.is_integer() and b.is_integer()) or a < 1.0:
             raise InstanceError(f"bad --range {args.range!r}; pure_n0 expects integers "
                                 "1 <= a <= b, with no step")
-        key, rows = "n0", eq_mod.sweep_pure(params, policy, int(a), int(b))
+        key, rows = "n0", eq_mod.sweep_mixed(params, policy, a, b, 1.0)
     else:
         if step is None:
             raise InstanceError(f"bad --range {args.range!r}; mixed_x expects a:b:step")

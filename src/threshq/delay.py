@@ -16,19 +16,13 @@ only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
 """
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EconomicParams, JoinStrategy, ServiceRatePolicy, threshold_probs
+from .model import (MAX_TABLE_CELLS, EconomicParams, JoinStrategy, ServiceRatePolicy,  # noqa: F401
+                    check_cells, check_table_size, threshold_probs)
 
-# the most values one array may hold, checked by check_cells before it is
-# built: a full delay table, n0 rows x (n0 + 1) columns (about 80 MB, n0 up to
-# 3161); a mixed sweep's grid points x (its balk state ceil(x_hi) + 1); a
-# simulation's replications; and a coupling's replications x (n + 1)
-MAX_TABLE_CELLS = 10**7
 # strategies x padded balk state per batched sweep; larger batches are split,
 # so the memory of a batched solve stays a few MB whatever its size
 _CHUNK_CELLS = 1 << 15
@@ -57,28 +51,6 @@ class DelayTable:
             row = self.entries[n, n + 1:].tolist()  # W(n, n + 1..n0) as Python floats
             lines += [f"{n},{m},{w:.17g}" for m, w in enumerate(row, n + 1)]
         return "\n".join(lines) + "\n"
-
-
-def _shown(v: float) -> str:
-    """A count or balk state to 15 significant digits below 10^15, else to six."""
-    return f"{v:.15g}" if v < 1e15 else f"{v:.6g}"
-
-
-def check_cells(cells: float, what: str) -> None:
-    """Raise ValueError when ``what`` would hold more than MAX_TABLE_CELLS
-    values, or a NaN or infinite count."""
-    if not cells <= MAX_TABLE_CELLS:
-        shown = math.inf if cells > sys.float_info.max else cells  # an int past any float
-        raise ValueError(f"{what} needs {_shown(shown)} values, over the limit of {MAX_TABLE_CELLS}")
-
-
-def check_table_size(top: float, what: str) -> None:
-    """Raise ValueError unless ``top``, named ``what``, is finite and the full
-    table for balk state ceil(top) is within check_cells."""
-    if not math.isfinite(top):
-        raise ValueError(f"{what} must be finite, got {top!r}")
-    n0 = math.ceil(top)
-    check_cells(max(n0, 1) * (n0 + 1.0), f"delay table for balk state {_shown(n0)}")
 
 
 def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,

@@ -9,7 +9,8 @@ threshold k, so w(k+) = w(k) + 1/mu_{k+1}. Pure threshold n0 is an
 equilibrium iff w(n0) <= r_tilde <= w(n0+), and the delay bounds
 n0/M <= w(n0) <= n0/mu_1 confine it to ``pure_candidates``. The interval
 (k, k+1] holds a mixed root iff w(k+1) < r_tilde < w(k+), and is all
-equilibria iff both equal r_tilde. test_w_nonincreasing_on_unit_intervals in
+equilibria iff both equal r_tilde; the same bounds put both k and k+1 among
+the candidates. test_w_nonincreasing_on_unit_intervals in
 tests/test_equilibrium.py checks the monotonicity and w(k+) on random instances.
 """
 from __future__ import annotations
@@ -78,51 +79,45 @@ def pure_candidates(params: EconomicParams, policy: ServiceRatePolicy) -> range:
     return range(max(math.ceil(r * policy.rates(1)[0] - 1.0 - TOL_EQ), 0), top + 1)
 
 
-def _diagnose(n0: int, w: float, params: EconomicParams, mu_next: float) -> CandidateDiagnostic:
-    """The two-sided test of pure threshold n0 given w = W(n0-1, n0) and
-    mu_next = mu_{n0+1}; both bounds are inclusive within TOL_EQ.
-
-    n0 = 0 (always balk) is an equilibrium iff r_tilde <= 1/mu_1, which is
-    the same two-sided condition with the convention W(-1, 0) = 0.
-    """
-    r = params.r_tilde
-    lower = r - 1.0 / mu_next
-    return CandidateDiagnostic(n0, w, lower, r, lower - TOL_EQ <= w <= r + TOL_EQ)
-
-
 def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
                     mixed_range: tuple[float, float] | None = None) -> EquilibriumReport:
     """Every pure threshold equilibrium, and with ``mixed_range`` = (x_min, x_max)
     every mixed one on (x_min, x_max].
 
-    One batched solve gives w at pure_candidates, at the integers of the range
-    and at its ends, and _diagnose judges each candidate. An interval's ends
-    are w(k+) and w(k+1), or a range end where it cuts the interval: both
-    within TOL_EQ of r_tilde make a continuum interval, reported whole; a sign
-    change brackets one root; a right end exactly at r_tilde is a root. The
-    brackets are refined together, REFINE_POINTS interior points each per
-    batched solve, until each is at most TOL_ROOT_X wide with an end within
-    TOL_EQ of r_tilde, and that end is reported. Roots within 1e-9 of an
-    integer are pure thresholds and are dropped.
+    One batched solve gives w at pure_candidates. Candidate n0 is an
+    equilibrium iff r_tilde - 1/mu_{n0+1} <= w(n0) <= r_tilde within TOL_EQ,
+    with W(-1, 0) = 0 for n0 = 0 (always balk). Only a unit interval (k, k+1]
+    with k and k+1 both candidates can hold a mixed equilibrium, so the range
+    ends enter the solve clipped into the scan. An interval's ends are w(k+)
+    and w(k+1), or a range end where it cuts the interval: both within TOL_EQ
+    of r_tilde make a continuum interval, reported whole; a sign change
+    brackets one root; a right end exactly at r_tilde is a root. The brackets
+    are refined together, REFINE_POINTS interior points each per batched
+    solve, until each is at most TOL_ROOT_X wide with an end within TOL_EQ of
+    r_tilde, and that end is reported. Roots within 1e-9 of an integer are
+    pure thresholds and are dropped.
     """
     r = params.r_tilde
     scan = pure_candidates(params, policy)
     pts = n0s = np.arange(scan.start, scan.stop, dtype=float)
     if mixed_range is not None:
-        x_min, x_max = mixed_range
-        if not (0.0 < x_min < x_max):
+        if not (0.0 < mixed_range[0] < mixed_range[1]):
             raise ValueError("need 0 < x_min < x_max")
-        pts = np.union1d(n0s, [x_min, *range(math.ceil(x_min), math.floor(x_max) + 1), x_max])
+        x_min, x_max = np.clip(mixed_range, scan.start, scan.stop - 1.0).tolist()  # into the scan
+        pts = np.union1d(n0s, [x_min, x_max])
     w = marginal_delays(policy, pts, params)
-    mu = policy.rates(int(pts[-1]) + 1)  # mu[k] = mu_{k+1}
-    diagnostics = [_diagnose(n0, wk, params, mu_next) for n0, wk, mu_next in zip(
-        scan, w[np.searchsorted(pts, n0s)].tolist(), mu[scan.start:scan.stop].tolist())]
+    mu = policy.rates(scan.stop)  # mu[k] = mu_{k+1}
+    w_scan = w[np.searchsorted(pts, n0s)]
+    lower = r - 1.0 / mu[scan.start:]
+    verdicts = (lower - TOL_EQ <= w_scan) & (w_scan <= r + TOL_EQ)
+    diagnostics = [CandidateDiagnostic(n0, wk, lo, r, ok) for n0, wk, lo, ok in zip(
+        scan, w_scan.tolist(), lower.tolist(), verdicts.tolist())]
     report = EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
                                candidate_range=(float(scan.start), float(scan.stop - 1)),
                                diagnostics=diagnostics)
     if mixed_range is None:
         return report
-    ks = np.arange(math.floor(x_min), math.ceil(x_max))
+    ks = np.arange(math.floor(x_min), math.ceil(x_max))  # (k, k+1] in the scan and the range
     lo, hi = np.maximum(ks, x_min), np.minimum(ks + 1.0, x_max)
     f0 = w[np.searchsorted(pts, lo)] + np.where(lo == ks, 1.0 / mu[ks], 0.0) - r
     f1 = w[np.searchsorted(pts, hi)] - r
@@ -156,18 +151,12 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     return report
 
 
-def sweep_pure(params: EconomicParams, policy: ServiceRatePolicy,
-               n0_lo: int, n0_hi: int) -> list[tuple[int, float, bool]]:
-    """(n0, W(n0-1, n0), |W - r_tilde| <= TOL_EQ) for each integer threshold."""
-    n0s = range(max(n0_lo, 1), n0_hi + 1)
-    return [(n0, w, abs(w - params.r_tilde) <= TOL_EQ)
-            for n0, w in zip(n0s, marginal_delays(policy, n0s, params).tolist())]
-
-
 def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
                 x_lo: float, x_hi: float, step: float) -> list[tuple[float, float, bool]]:
     """(x, w(x), |w - r_tilde| <= TOL_EQ) on the grid x = x_lo + i*step,
-    i = 0, 1, ..., while x <= x_hi + 1e-12, keeping x > 0.
+    i = 0, 1, ..., while x <= x_hi + 1e-12, keeping x > 0. With integer ends
+    and step 1 the grid is exact, so this is also the sweep of pure thresholds
+    n0 = x_lo..x_hi, each row's w the marginal delay W(n0-1, n0).
 
     Its points times its largest balk state ceil(x_hi) + 1 must pass
     delay.check_cells, or ValueError is raised before the grid is built.

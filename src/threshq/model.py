@@ -15,8 +15,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# the most values one array may hold, checked by check_cells before it is
+# built: a full delay table, n0 rows x (n0 + 1) columns (about 80 MB, n0 up to
+# 3161); a mixed sweep's grid points x (its balk state ceil(x_hi) + 1); a
+# simulation's replications; and a coupling's replications x (n + 1)
+MAX_TABLE_CELLS = 10**7
+
+
 class InstanceError(ValueError):
     """Invalid instance document or parameter set."""
+
+
+def _shown(v: float) -> str:
+    """A count or balk state to 15 significant digits below 10^15, else to six."""
+    return f"{v:.15g}" if v < 1e15 else f"{v:.6g}"
+
+
+def check_cells(cells: float, what: str) -> None:
+    """Raise ValueError when ``what`` would hold more than MAX_TABLE_CELLS
+    values, or a NaN or infinite count."""
+    if not cells <= MAX_TABLE_CELLS:
+        shown = math.inf if cells > sys.float_info.max else cells  # an int past any float
+        raise ValueError(f"{what} needs {_shown(shown)} values, over the limit of {MAX_TABLE_CELLS}")
+
+
+def check_table_size(top: float, what: str) -> None:
+    """Raise ValueError unless ``top``, named ``what``, is finite and the full
+    table for balk state ceil(top) is within check_cells."""
+    if not math.isfinite(top):
+        raise ValueError(f"{what} must be finite, got {top!r}")
+    n0 = math.ceil(top)
+    check_cells(max(n0, 1) * (n0 + 1.0), f"delay table for balk state {_shown(n0)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +217,6 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
         T = pol["T"]
         if not isinstance(T, int) or isinstance(T, bool):
             raise InstanceError("policy T must be an integer")
-        from .delay import check_cells  # delay imports this module
         check_cells(T, "policy T")  # the constructor's checks read all T rates
         policy = ServiceRatePolicy.two_rate(T, _finite(pol["mu_low"], "policy mu_low"),
                                             _finite(pol["mu_high"], "policy mu_high"))

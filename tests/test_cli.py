@@ -175,11 +175,15 @@ class TestEquilibriaCommand:
         doc = json.loads(out)
         assert code == 0 and len(doc["mixed_points"]) == 1
 
-    @pytest.mark.parametrize("spec, roots", [("24.5:45.5", 3), ("1.5:3", 0)])
+    # besides the scan 16..42, the range ends the first solve holds: an end
+    # enters only where it cuts a unit interval with both ends in the scan
+    FIRST_SOLVE_ENDS = {"24.5:45.5": [24.5], "1.5:3": [], "0.5:3000": []}
+
+    @pytest.mark.parametrize("spec, roots", [("24.5:45.5", 3), ("1.5:3", 0), ("0.5:3000", 3)])
     def test_one_solve_before_refinement(self, monkeypatch, capsys, case_study_instance,
                                          spec, roots):
-        # the first solve holds the scan 16..42, the range's integers and its
-        # non-integer ends; every later one holds bracket interiors only
+        # the first solve holds the scan and the range ends that cut a scanned
+        # interval; every later one holds bracket interiors only
         calls = []
 
         def record(policy, xs, params):
@@ -188,16 +192,21 @@ class TestEquilibriaCommand:
         monkeypatch.setattr(equilibrium, "marginal_delays", record)
         code, out, _ = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
                                "--mixed-range", spec)
-        a, b = map(float, spec.split(":"))
         first, *refine = calls
         doc = json.loads(out)
         assert code == 0 and len(doc["mixed_points"]) == roots
         assert doc["pure"] == [16, 17, 25, 36, 37]
-        assert first.tolist() == sorted({*range(16, 43), *range(math.ceil(a), math.floor(b) + 1),
-                                         a, b})
+        assert first.tolist() == sorted({*range(16, 43), *self.FIRST_SOLVE_ENDS[spec]})
         assert bool(refine) == bool(roots)
         for xs in refine:
             assert len(xs) % equilibrium.REFINE_POINTS == 0 and np.all(xs != np.round(xs))
+
+    def test_range_past_the_scan_same_report(self, capsys, case_study_instance):
+        # the scan bounds every mixed equilibrium, so a range far past it
+        # reports what a range just around it does
+        reports = [run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
+                           "--mixed-range", spec) for spec in ("0.5:3000", "15:50")]
+        assert reports[0] == reports[1] and reports[0][0] == 0
 
     def test_mixed_range_step_exit_2(self, capsys, case_study_instance):
         code, out, err = run_cli(capsys, "equilibria", "--instance", str(case_study_instance),
@@ -494,6 +503,20 @@ class TestSweepCommand:
         params, policy = EconomicParams(3.0, 8.5, 1.0), ServiceRatePolicy.two_rate(23, 2.0, 5.0)
         ref = dense_delay_solve(policy, UnsnappedThreshold(x), params)[(10, 11)]
         assert w[x] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("policy, spec", [
+        ({"T": 23, "mu_low": 2.0, "mu_high": 5.0}, "1:40"),
+        ({"prefix": [1.0, 2.0, 3.0], "tail": 4.0}, "1:140")], ids=["case_study", "general"])
+    def test_pure_rows_are_the_unit_step_grid(self, capsys, tmp_path, policy, spec):
+        # pure_n0 a:b is the mixed_x sweep a:b:1 under another header
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"lambda": 3.0, "reward": 8.5, "wait_cost": 1.0,
+                                    "policy": policy}))
+        (c1, pure, _), (c2, mixed, _) = (
+            run_cli(capsys, "sweep", "--instance", str(path), "--kind", kind, "--range", r)
+            for kind, r in (("pure_n0", spec), ("mixed_x", spec + ":1")))
+        assert c1 == c2 == 0
+        assert pure.split("\n", 1) == ["n0,W,equilibrium_hit", mixed.split("\n", 1)[1]]
 
     def test_byte_stable(self, capsys, case_study_instance):
         args = ("sweep", "--instance", str(case_study_instance),

@@ -10,7 +10,6 @@ from threshq.equilibrium import (
     CandidateDiagnostic,
     find_equilibria,
     sweep_mixed,
-    sweep_pure,
 )
 from threshq import equilibrium as eq_mod
 from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
@@ -340,6 +339,11 @@ class TestFindMixedEquilibria:
         pts, _ = mixed_equilibria(params_R(8.5), self.POL, 36.0 + 1e-12, 37.0)
         assert len(pts) >= 1
 
+    def test_integer_range_ends_same_as_floats(self):
+        # int ends would make int brackets, which the refinement cannot move
+        assert mixed_equilibria(params_R(8.5), self.POL, 15, 50) == mixed_equilibria(
+            params_R(8.5), self.POL, 15.0, 50.0)
+
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             mixed_equilibria(params_R(8.5), self.POL, 5.0, 2.0)
@@ -379,14 +383,16 @@ class TestSweeps:
     POL = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
 
     def test_pure_sweep_shape(self):
-        rows = sweep_pure(params_R(8.5), self.POL, 1, 40)
+        # the pure sweep is the one sweep at step 1 from an integer
+        rows = sweep_mixed(params_R(8.5), self.POL, 1.0, 40.0, 1.0)
+        assert [x for x, _, _ in rows] == list(range(1, 41))
         w = {n0: v for n0, v, _ in rows}
         assert all(w[n0 + 1] >= w[n0] - 1e-12 for n0 in range(1, 23))
         assert any(w[k + 1] < w[k] - 1e-9 for k in range(24, 28))
         assert all(w[n0 + 1] > w[n0] for n0 in range(36, 40))
 
     def test_pure_sweep_below_threshold_closed_form(self):
-        rows = sweep_pure(params_R(8.5), self.POL, 1, 23)
+        rows = sweep_mixed(params_R(8.5), self.POL, 1.0, 23.0, 1.0)
         for n0, v, _ in rows:
             assert v == pytest.approx(n0 / 2.0, abs=1e-12)
 
