@@ -20,6 +20,9 @@ delay_kernel.seconds).
   linearly from 1 to 4 over the first 90 states, then stay at 4, with
   lambda = 3, under x = 100.5 (balk state 101, so the packed state code
   is 7 bits wide), n = 50, 2 * 10^4 replications.
+
+"simulate_sojourn_workers" is the number of threads simulate_sojourn runs a
+step's groups of blocks on here: the CPUs this process may use, at most 4.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import platform
 import numpy as np
 
 from delay_kernel import CASE, seconds
+from threshq import sim
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
@@ -53,7 +57,8 @@ def main() -> dict:
         "simulate_sojourn.general_n0_101.s": seconds(lambda: simulate_sojourn(general, 50)),
     }
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine(), "seconds": rows}
+            "simulate_sojourn_workers": sim._workers(), "machine": platform.machine(),
+            "seconds": rows}
 
 
 if __name__ == "__main__":

@@ -370,6 +370,14 @@ class TestParserReuse:
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert done.stdout == "0\n"
 
+    def test_import_leaves_out_concurrent_futures(self):
+        # simulate imports its thread pool when it first needs one
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import sys, threshq.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout == "False\n"
+
 
 class TestWorkBudget:
     """A command whose largest balk state has a full table over the cell

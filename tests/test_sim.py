@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -60,14 +62,14 @@ class TestSimulateSojourn:
         with pytest.raises(ValueError):
             simulate_sojourn(config(x=3.0), 4)
 
-    def test_matches_masked_oracle(self):
-        # every combination twice: general or two-rate policy; pure, mixed,
-        # 0 < x < 1 or general strategy; n = 0, n = n0 or between; 1, 2 or
-        # 3000 replications
-        rng = np.random.default_rng(2026)
+    @staticmethod
+    def oracle_grid(rng, replications=(1, 2, 3000)):
+        """(config, n) for each combination of general or two-rate policy;
+        pure, mixed, 0 < x < 1 or general strategy; n = 0, n = n0 or between;
+        and the given numbers of replications, with seeds below 2**63."""
         cases = itertools.product((False, True), ("pure", "mixed", "below_1", "general"),
-                                  ("empty", "balk", "between"), (1, 2, 3000))
-        for two_rate, kind, where, reps in list(cases) * 2:
+                                  ("empty", "balk", "between"), replications)
+        for two_rate, kind, where, reps in cases:
             n0 = 1 if kind == "below_1" else int(rng.integers(1, 31))
             if kind == "general":
                 strategy = JoinStrategy(tuple(rng.uniform(0.05, 1.0, n0)) + (0.0,))
@@ -82,8 +84,55 @@ class TestSimulateSojourn:
                 policy = random_policy(rng, max_prefix=n0 + 1)
             n = {"empty": 0, "balk": n0, "between": int(rng.integers(0, n0 + 1))}[where]
             params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
-            cfg = SimConfig(int(rng.integers(2**63)), reps, params, policy, strategy)
+            yield SimConfig(int(rng.integers(2**63)), reps, params, policy, strategy), n
+
+    def test_matches_masked_oracle(self):
+        # every combination of the grid twice
+        rng = np.random.default_rng(2026)
+        for _ in range(2):
+            for cfg, n in self.oracle_grid(rng):
+                assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
+
+    @pytest.mark.parametrize("block, replications", [(1, (1, 2, 40)), (7, (1, 2, 3000)),
+                                                     (64, (1, 2, 3000))],
+                             ids=["block_1", "block_7", "block_64"])
+    def test_groups_of_blocks_match_masked_oracle(self, monkeypatch, block, replications):
+        # replications in blocks of 1, 7 or 64, each step's live blocks in 1,
+        # 2 or 3 groups, each group drawing at its own offset in the stream;
+        # about half the seeds are moved past 2**63. (3000 replications in
+        # blocks of one would take seconds, so blocks of one run 40.)
+        monkeypatch.setattr(sim, "_SOJOURN_BLOCK", block)
+        rng, pick = np.random.default_rng(block), np.random.default_rng(block + 1)
+        for cfg, n in self.oracle_grid(rng, replications):
+            workers = int(pick.integers(1, 4))
+            monkeypatch.setattr(sim, "_workers", lambda: workers)
+            cfg = dataclasses.replace(cfg, seed=cfg.seed + int(pick.integers(2)) * 2**63)
             assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
+
+    @pytest.mark.parametrize("seed, stream", [(5, 0), (2**63 + 9, 1), (-1, 0)])
+    def test_generator_at_an_offset_continues_the_stream(self, seed, stream):
+        # Philox makes four raw words per counter value: pin the counter and
+        # discard arithmetic that places a group's generator in the stream
+        whole = sim._generator(seed % 2**64, stream).random(1000)
+        for p in (0, 1, 2, 3, 4, 5, 8, 13, 997):
+            at = sim._generator(seed, stream, p).random(3)
+            assert at.tolist() == whole[p:p + 3].tolist()
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        monkeypatch.setattr(sim, "_SOJOURN_BLOCK", 64)
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
+        threads = set()
+        step = sim._step
+
+        def record(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_step", record)
+        before = threading.active_count()
+        simulate_sojourn(config(seed=4, reps=1000), 2)
+        assert len(threads) > 1  # the steps ran on pool threads
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("n0", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 200])
     def test_matches_masked_oracle_where_code_width_steps(self, n0):
