@@ -5,12 +5,19 @@ Exit codes: 0 success, 2 malformed input, 3 property violation (coupling).
 The argument parser is built once per process, on the first ``main`` call,
 and reused: building it costs more than a small query's solve, and parsing
 leaves no state in it. Importing this module builds nothing.
+
+Output goes to stdout or, with --out DIR, to files in DIR; an --out that
+cannot be written is malformed input. The delay table streams to its target
+row by row, so a run's memory follows the table and not its text. The
+equilibria report is written from fixed templates; its bytes are those of
+``json.dumps(report.to_json_dict(), indent=2)``, which the oracle test in
+tests/test_writers.py pins.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import json
 import math
 import os
 import re
@@ -36,9 +43,9 @@ def _cell(v) -> str:
     return str(v) if isinstance(v, int) else f"{v:.17g}"
 
 
-def _csv(header, rows) -> str:
-    """CSV text: one header line of names, then one line per row."""
-    return "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+def _csv(header, rows):
+    """CSV lines: one header line of names, then one line per row."""
+    return (",".join(map(_cell, row)) + "\n" for row in (header, *rows))
 
 
 def _parse_range(spec: str) -> tuple[float, float, float | None]:
@@ -73,20 +80,70 @@ def _rewards(spec: str) -> list[float]:
     return rewards
 
 
-def _write(outdir: str | None, name: str, text: str) -> None:
+@contextlib.contextmanager
+def _target(outdir: str | None, name: str):
+    """stdout, or with --out the file ``name`` in outdir, made with its directory.
+    An OSError there ends the command as bad input naming --out."""
     if outdir is None:
-        sys.stdout.write(text)
-    else:
+        yield sys.stdout
+        return
+    try:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+    except OSError as exc:
+        raise InstanceError(f"cannot write --out {outdir!r}: {exc}") from None
+
+
+def _write(outdir: str | None, name: str, chunks) -> None:
+    """Write the text chunks to stdout, or with --out to the file ``name`` in outdir."""
+    with _target(outdir, name) as fh:
+        fh.writelines(chunks)
 
 
 def _report(outdir: str | None, name: str, row: dict, line: dict) -> None:
-    """Print ``line`` as k=v pairs; with --out, also write ``row`` as a one-row CSV."""
-    print(" ".join(f"{k}={_cell(v)}" for k, v in line.items()))
+    """Print ``line`` as k=v pairs; with --out, first write ``row`` as a one-row CSV."""
     if outdir is not None:
         _write(outdir, name, _csv(row.keys(), [row.values()]))
+    print(" ".join(f"{k}={_cell(v)}" for k, v in line.items()))
+
+
+def _json_value(v) -> str:
+    """A number or flag of the report as json.dumps writes it."""
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if v != v:
+        return "NaN"
+    return float.__repr__(v) if abs(v) != math.inf else "Infinity" if v > 0 else "-Infinity"
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of items already in JSON text, laid out as by json.dumps(indent=2)
+    at the depth of ``indent``."""
+    if not items:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[" + inner[1:] + inner.join(items) + "\n" + indent + "]"
+
+
+# the report and one diagnostic in the layout of json.dumps(report.to_json_dict(), indent=2)
+_REPORT = ('{\n  "pure": %s,\n  "mixed_points": %s,\n  "mixed_intervals": %s,\n'
+           '  "range": %s,\n  "diagnostics": %s,\n  "scope": "recurrent-class"\n}\n')
+_DIAGNOSTIC = "{\n" + ",\n".join(f'      "{key}": %s'
+                                  for key in eq_mod.CandidateDiagnostic._fields) + "\n    }"
+
+
+def _json_report(report: eq_mod.EquilibriumReport) -> str:
+    """The report as JSON text: json.dumps(report.to_json_dict(), indent=2) and a newline."""
+    num = _json_value
+    return _REPORT % (
+        _json_list([num(k) for k in report.pure_equilibria], "  "),
+        _json_list([num(x) for x in report.mixed_points], "  "),
+        _json_list([_json_list([num(a), num(b)], "    ") for a, b in report.mixed_intervals], "  "),
+        _json_list([num(x) for x in report.candidate_range], "  "),
+        _json_list([_DIAGNOSTIC % tuple(map(num, d)) for d in report.diagnostics], "  "))
 
 
 def cmd_delay(args, params, policy) -> int:
@@ -94,7 +151,8 @@ def cmd_delay(args, params, policy) -> int:
     delay_mod.check_table_size(args.x, "x")
     strategy = strategy_from_x(args.x)
     table = delay_mod.solve_delay_table(policy, strategy, params)
-    _write(args.out, "delay_table.csv", table.to_csv())
+    with _target(args.out, "delay_table.csv") as fh:
+        table.to_csv(fh)
     if args.out is not None:
         _write(args.out, "arrival_delay.csv", _csv(("n", "W"), (
             (n, delay_mod.arrival_delay(table, policy, n)) for n in range(table.n0 + 1))))
@@ -129,9 +187,9 @@ def cmd_equilibria(args, params, policy) -> int:
             raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected 0 < a < b")
         delay_mod.check_table_size(mixed[1], "--mixed-range")
     report = eq_mod.find_equilibria(params, policy, mixed[:2] if mixed else None)
-    sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     if args.out is not None:
         _write(args.out, "diagnostics.csv", _csv(eq_mod.CandidateDiagnostic._fields, report.diagnostics))
+    sys.stdout.write(_json_report(report))
     return EXIT_OK
 
 

@@ -13,6 +13,9 @@ probabilities clip(x - m, 0, 1) run to the largest balk state ceil(x) and
 are zero from each row's own balk state on, so entries past it are finite
 and multiplied by p = 0, and never reach a valid entry. Callers that need
 only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
+
+A table's CSV streams to its file row by row (DelayTable.to_csv), so writing
+it holds one row's text, not the table's.
 """
 from __future__ import annotations
 
@@ -44,13 +47,22 @@ class DelayTable:
             raise ValueError(f"W({n},{m}) is outside the table (n0={self.n0})")
         return float(self.entries[n, m])
 
-    def to_csv(self) -> str:
-        """CSV with header n,m,W; one row per entry, 17 significant digits."""
-        lines = ["n,m,W"]
+    def to_csv(self, file) -> None:
+        """Write the table as CSV to the text stream ``file``: header n,m,W, then
+        one line per entry, W to 17 significant digits.
+
+        Each row n goes out as one string, a single ``%`` format over the
+        row's m and W, so the writer holds one row's text at a time: memory
+        follows the table and not its text, which is about 141 MB at the
+        largest table check_table_size allows.
+        """
+        file.write("n,m,W\n")
+        ms = [str(m) for m in range(self.n0 + 1)]
         for n in range(self.n0):
             row = self.entries[n, n + 1:].tolist()  # W(n, n + 1..n0) as Python floats
-            lines += [f"{n},{m},{w:.17g}" for m, w in enumerate(row, n + 1)]
-        return "\n".join(lines) + "\n"
+            cells = [None] * (2 * len(row))  # m, W(n, m), m + 1, ...
+            cells[::2], cells[1::2] = ms[n + 1:], row
+            file.write(f"{n},%s,%.17g\n" * len(row) % tuple(cells))
 
 
 def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,

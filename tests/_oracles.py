@@ -15,10 +15,14 @@ stores every customer's requirement, joiners included, in an n0-wide ring
 per system and replaces ``threshq.sim._couple_block`` when a test patches
 it in; the masked sojourn loop keeps every replication in full-size arrays
 behind an alive mask, re-indexes them all at every step, and adds each
-step's mean holding time from rates it recomputes from the state.
+step's mean holding time from rates it recomputes from the state. The
+writer oracles are the CLI's earlier writers, the delay CSV built as one
+string by an f-string per entry and the report through ``json.dumps`` with
+``indent=2``, and a CSV whose cells are formatted by their exact type.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -352,3 +356,28 @@ def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
     half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")
     return SojournEstimate(mean, half, reps)
+
+
+def loop_delay_csv(table) -> str:
+    """The delay table's CSV text, one f-string per entry."""
+    lines = ["n,m,W"]
+    for n in range(table.n0):
+        row = table.entries[n, n + 1:].tolist()
+        lines += [f"{n},{m},{w:.17g}" for m, w in enumerate(row, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def dumps_report(report) -> str:
+    """The equilibria report as json.dumps writes it, and a newline."""
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def typed_csv(header, rows) -> str:
+    """CSV text with each cell formatted by its exact type: text as given, a
+    flag as 1/0, an int in full, a real to 17 significant digits."""
+    def cell(v):
+        kind = type(v)
+        if kind is bool:
+            return "1" if v else "0"
+        return v if kind is str else "%d" % v if kind is int else format(v, ".17g")
+    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))

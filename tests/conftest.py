@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -53,3 +54,10 @@ def random_params(rng: np.random.Generator) -> EconomicParams:
     return EconomicParams(float(rng.uniform(0.3, 4.0)),
                           float(rng.uniform(0.0, 20.0)),
                           float(rng.uniform(0.5, 3.0)))
+
+
+def written_csv(table) -> str:
+    """The rows DelayTable.to_csv writes, joined."""
+    out = io.StringIO()
+    table.to_csv(out)
+    return out.getvalue()

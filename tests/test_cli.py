@@ -310,17 +310,21 @@ class TestScanEdge:
         assert (code, out, err) == (2, "", "error: r_tilde * M must be finite\n")
 
 
+# one small query of every command that takes --out
+EVERY_COMMAND = [
+    ["delay", "--x", "4.5"],
+    ["equilibria", "--mixed-range", "24:27"],
+    ["equilibria", "--table1", "8.5,9.1"],
+    ["sweep", "--kind", "pure_n0", "--range", "1:3"],
+    ["simulate", "--n", "2", "--x", "5", "--reps", "50", "--seed", "1"],
+    ["verify-coupling", "--n", "2", "--n0", "5", "--reps", "50", "--seed", "1"],
+]
+
+
 class TestEmptyOut:
     """An empty --out is the same as no --out, for every command."""
 
-    @pytest.mark.parametrize("argv", [
-        ["delay", "--x", "4.5"],
-        ["equilibria", "--mixed-range", "24:27"],
-        ["equilibria", "--table1", "8.5,9.1"],
-        ["sweep", "--kind", "pure_n0", "--range", "1:3"],
-        ["simulate", "--n", "2", "--x", "5", "--reps", "50", "--seed", "1"],
-        ["verify-coupling", "--n", "2", "--n0", "5", "--reps", "50", "--seed", "1"],
-    ])
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
     def test_same_as_absent(self, tmp_path, monkeypatch, capsys, case_study_instance, argv):
         monkeypatch.chdir(tmp_path)
         argv = [*argv, "--instance", str(case_study_instance)]
@@ -328,6 +332,24 @@ class TestEmptyOut:
         assert expected[0] == 0
         assert run_cli(capsys, *argv, "--out", "") == expected
         assert list(tmp_path.iterdir()) == [case_study_instance]
+
+
+class TestBadOut:
+    """An --out that cannot be written, a regular file or a path below one, ends
+    every command with exit 2 and one error line naming it, before stdout."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
+    def test_exit_2_one_line(self, tmp_path, capsys, case_study_instance, argv, below):
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        code, stdout, err = run_cli(capsys, *argv, "--instance", str(case_study_instance),
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write --out {str(out)!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert blocker.read_text() == "kept\n"
 
 
 class TestParserReuse:

@@ -8,7 +8,8 @@ from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
 from _oracles import UnsnappedThreshold, closed_form_below_T, dense_delay_solve, loop_delay_solve
-from conftest import random_general_strategy, random_params, random_policy, random_threshold_strategy
+from conftest import (random_general_strategy, random_params, random_policy,
+                      random_threshold_strategy, written_csv)
 
 
 @pytest.fixture
@@ -296,7 +297,7 @@ class TestClosedFormBelowT:
 class TestCsvExport:
     def test_header_and_precision(self, small_case):
         policy, strategy, params = small_case
-        csv = solve_delay_table(policy, strategy, params).to_csv()
+        csv = written_csv(solve_delay_table(policy, strategy, params))
         lines = csv.strip().split("\n")
         assert lines[0] == "n,m,W"
         assert len(lines) == 4  # W(0,1), W(0,2), W(1,2)
@@ -306,4 +307,4 @@ class TestCsvExport:
     def test_empty_table_header_only(self):
         t = solve_delay_table(ServiceRatePolicy.constant(1.0), strategy_from_x(0),
                               EconomicParams(1.0, 1.0, 1.0))
-        assert t.to_csv() == "n,m,W\n"
+        assert written_csv(t) == "n,m,W\n"
