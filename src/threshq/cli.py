@@ -166,14 +166,13 @@ def cmd_equilibria(args, params, policy) -> int:
         rewards = _rewards(args.table1)
         if policy.threshold_form is None:
             raise InstanceError("--table1 requires a two-rate threshold policy")
-        # the largest reward has the longest scan: refuse it before any solve
+        # the largest reward has the longest scan: refuse it before any other check
         eq_mod.pure_candidates(EconomicParams(params.arrival_rate, max(rewards),
                                               params.wait_cost), policy)
         T, mu_l, mu_h = policy.threshold_form
+        instances = [EconomicParams(params.arrival_rate, R, params.wait_cost) for R in rewards]
         rows = []
-        for R in rewards:
-            p = EconomicParams(params.arrival_rate, R, params.wait_cost)
-            pure = eq_mod.find_equilibria(p, policy).pure_equilibria
+        for R, p, pure in zip(rewards, instances, eq_mod.pure_equilibria(policy, instances)):
             L, U = max((p.r_tilde - 1.0 / mu_h) * mu_l, T + 1.0), max(p.r_tilde * mu_h, T + 1.0)
             rows.append((f"{R:g}", ";".join(str(k) for k in pure if k <= T),
                          ";".join(str(k) for k in pure if k > T), f"{L:g}", f"{U:g}"))

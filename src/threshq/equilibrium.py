@@ -6,12 +6,22 @@ those joiners queue behind the marginal customer and, with nondecreasing
 rates, can only speed its service, so w is nonincreasing there. As x falls
 to k the marginal customer becomes the joiner at the balk state of pure
 threshold k, so w(k+) = w(k) + 1/mu_{k+1}. Pure threshold n0 is an
-equilibrium iff w(n0) <= r_tilde <= w(n0+), and the delay bounds
-n0/M <= w(n0) <= n0/mu_1 confine it to ``pure_candidates``. The interval
-(k, k+1] holds a mixed root iff w(k+1) < r_tilde < w(k+), and is all
-equilibria iff both equal r_tilde; the same bounds put both k and k+1 among
-the candidates. test_w_nonincreasing_on_unit_intervals in
-tests/test_equilibrium.py checks the monotonicity and w(k+) on random instances.
+equilibrium iff w(n0) <= r_tilde <= w(n0+), and the interval (k, k+1]
+holds a mixed root iff w(k+1) < r_tilde < w(k+), and is all equilibria iff
+both equal r_tilde.
+
+Level-wise delay bounds decide where w is solved at all. With balk state
+n0 the marginal customer waits for n0 departures; while j - 1 customers
+are still ahead of it at least j and at most n0 are present, so
+n0/mu_{n0} <= w(x) <= H(n0) for every x in (n0-1, n0], where
+H(k) = 1/mu_1 + ... + 1/mu_k. Pure n0 is then a candidate only if
+n0 <= r_tilde mu_{n0} and H(n0+1) >= r_tilde (``pure_candidates``), and
+(k, k+1] is bracketed only if k+1 <= r_tilde mu_{k+1} and H(k+1) >= r_tilde.
+The candidates need not be contiguous: for a two-rate policy the first
+test fails between r_tilde mu_low and the service threshold.
+test_w_nonincreasing_on_unit_intervals and test_level_bounds_hold in
+tests/test_equilibrium.py check the monotonicity, w(k+) and the bounds on
+random instances.
 """
 from __future__ import annotations
 
@@ -66,17 +76,57 @@ class EquilibriumReport:
         }
 
 
-def pure_candidates(params: EconomicParams, policy: ServiceRatePolicy) -> range:
-    """Every pure threshold n0 the delay bounds leave open: W(n0-1, n0) <= n0/mu_1 and
-    1/mu_{n0+1} <= 1/mu_1 give n0 >= r_tilde mu_1 - 1, and W(n0-1, n0) >= n0/M gives
-    n0 <= r_tilde M. ValueError unless r_tilde * M is finite and the last candidate's
-    full delay table passes delay.check_table_size, before anything is built."""
+def _scan(params: EconomicParams, policy: ServiceRatePolicy):
+    """(scan, mu, (low, high)): the contiguous scan of the loose bounds
+    n0/M <= w(n0) <= n0/mu_1, the integers from r_tilde mu_1 - 1 to r_tilde M
+    (within TOL_EQ); mu[k] = mu_{k+1}; and per level n = 0..floor(r_tilde M) the
+    level-wise tests low: n/mu_n <= r_tilde and high: H(n+1) >= r_tilde, with a
+    slack of TOL_EQ + n 2^-50 r_tilde for the rounding of w and H (each within
+    about n u relative, u = 2^-53). ValueError unless r_tilde * M is finite and
+    the last level's full delay table passes delay.check_table_size, before
+    anything is built."""
     r = params.r_tilde
     if not math.isfinite(r * policy.max_rate):
         raise ValueError("r_tilde * M must be finite")
     top = math.floor(r * policy.max_rate + TOL_EQ)
     check_table_size(top, "r_tilde * M")
-    return range(max(math.ceil(r * policy.rates(1)[0] - 1.0 - TOL_EQ), 0), top + 1)
+    mu = policy.rates(top + 1)
+    n = np.arange(top + 1)
+    slack = TOL_EQ + n * 2.0**-50 * r
+    level = (n / np.concatenate((mu[:1], mu[:top])) <= r + slack,  # n/mu_n, 0 at n = 0
+             np.cumsum(1.0 / mu) >= r - slack)  # H(n+1)
+    return n[max(math.ceil(r * mu[0] - 1.0 - TOL_EQ), 0):], mu, level
+
+
+def pure_candidates(params: EconomicParams, policy: ServiceRatePolicy) -> np.ndarray:
+    """The sorted pure thresholds n0 of the contiguous scan that pass both level-wise
+    tests: n0 <= r_tilde mu_{n0}, as w(n0) >= n0/mu_{n0}, and H(n0+1) >= r_tilde, as
+    w(n0+) <= H(n0+1). Never empty, not always contiguous; raises as _scan does."""
+    scan, _, (low, high) = _scan(params, policy)
+    return scan[low[scan] & high[scan]]
+
+
+def _diagnostics(r: float, n0s: np.ndarray, w: np.ndarray,
+                 mu: np.ndarray) -> list[CandidateDiagnostic]:
+    """The test of each candidate n0 given w(n0): r_tilde - 1/mu_{n0+1} <= w(n0) <= r_tilde
+    within TOL_EQ (mu[k] = mu_{k+1})."""
+    lower = r - 1.0 / mu[n0s]
+    verdicts = (lower - TOL_EQ <= w) & (w <= r + TOL_EQ)
+    return [CandidateDiagnostic(n0, wk, lo, r, ok) for n0, wk, lo, ok in zip(
+        n0s.tolist(), w.tolist(), lower.tolist(), verdicts.tolist())]
+
+
+def pure_equilibria(policy: ServiceRatePolicy, instances: list[EconomicParams]) -> list[list[int]]:
+    """The pure equilibria of each instance, as find_equilibria reports them. The instances
+    share the arrival rate, so w does not depend on which one is solved: one batched solve
+    at the union of their pure_candidates serves them all. Every instance's scan is
+    checked before anything is solved."""
+    scans = [pure_candidates(p, policy) for p in instances]
+    n0s = np.unique(np.concatenate(scans))
+    w = marginal_delays(policy, n0s, instances[0])
+    mu = policy.rates(int(n0s[-1]) + 1)
+    return [[d.n0 for d in _diagnostics(p.r_tilde, scan, w[np.searchsorted(n0s, scan)], mu)
+             if d.is_equilibrium] for p, scan in zip(instances, scans)]
 
 
 def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
@@ -86,39 +136,38 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
 
     One batched solve gives w at pure_candidates. Candidate n0 is an
     equilibrium iff r_tilde - 1/mu_{n0+1} <= w(n0) <= r_tilde within TOL_EQ,
-    with W(-1, 0) = 0 for n0 = 0 (always balk). Only a unit interval (k, k+1]
-    with k and k+1 both candidates can hold a mixed equilibrium, so the range
-    ends enter the solve clipped into the scan. An interval's ends are w(k+)
-    and w(k+1), or a range end where it cuts the interval: both within TOL_EQ
-    of r_tilde make a continuum interval, reported whole; a sign change
-    brackets one root; a right end exactly at r_tilde is a root. The brackets
-    are refined together, REFINE_POINTS interior points each per batched
-    solve, until each is at most TOL_ROOT_X wide with an end within TOL_EQ of
-    r_tilde, and that end is reported. Roots within 1e-9 of an integer are
-    pure thresholds and are dropped.
+    with W(-1, 0) = 0 for n0 = 0 (always balk). A unit interval (k, k+1] of
+    the contiguous scan is searched only if the level-wise bounds let
+    w(k+) >= r_tilde >= w(k+1), that is H(k+1) >= r_tilde and
+    k+1 <= r_tilde mu_{k+1}; the same solve then gives w at both its ends,
+    or at a range end where it cuts the interval, whether or not k is a pure
+    candidate. Both ends within TOL_EQ of r_tilde make a continuum interval,
+    reported whole; a sign change brackets one root; a right end exactly at
+    r_tilde is a root. The brackets are refined together, REFINE_POINTS
+    interior points each per batched solve, until each is at most TOL_ROOT_X
+    wide with an end within TOL_EQ of r_tilde, and that end is reported.
+    Roots within 1e-9 of an integer are pure thresholds and are dropped.
     """
     r = params.r_tilde
-    scan = pure_candidates(params, policy)
-    pts = n0s = np.arange(scan.start, scan.stop, dtype=float)
+    scan, mu, (low, high) = _scan(params, policy)
+    n0s = scan[low[scan] & high[scan]]
+    pts = n0s.astype(float)
     if mixed_range is not None:
         if not (0.0 < mixed_range[0] < mixed_range[1]):
             raise ValueError("need 0 < x_min < x_max")
-        x_min, x_max = np.clip(mixed_range, scan.start, scan.stop - 1.0).tolist()  # into the scan
-        pts = np.union1d(n0s, [x_min, x_max])
+        # into the scan, as floats: int ends would make brackets the refinement cannot move
+        x_min, x_max = np.clip(mixed_range, float(scan[0]), float(scan[-1])).tolist()
+        ks = np.arange(math.floor(x_min), math.ceil(x_max))  # (k, k+1] in the scan and the range
+        ks = ks[high[ks] & low[ks + 1]]  # H(k+1) >= w(k+) >= r_tilde >= w(k+1) >= (k+1)/mu_{k+1}
+        lo, hi = np.maximum(ks, x_min), np.minimum(ks + 1.0, x_max)
+        pts = np.union1d(pts, np.concatenate((lo, hi)))
     w = marginal_delays(policy, pts, params)
-    mu = policy.rates(scan.stop)  # mu[k] = mu_{k+1}
-    w_scan = w[np.searchsorted(pts, n0s)]
-    lower = r - 1.0 / mu[scan.start:]
-    verdicts = (lower - TOL_EQ <= w_scan) & (w_scan <= r + TOL_EQ)
-    diagnostics = [CandidateDiagnostic(n0, wk, lo, r, ok) for n0, wk, lo, ok in zip(
-        scan, w_scan.tolist(), lower.tolist(), verdicts.tolist())]
+    diagnostics = _diagnostics(r, n0s, w[np.searchsorted(pts, n0s)], mu)
     report = EquilibriumReport([d.n0 for d in diagnostics if d.is_equilibrium],
-                               candidate_range=(float(scan.start), float(scan.stop - 1)),
+                               candidate_range=(float(n0s[0]), float(n0s[-1])),
                                diagnostics=diagnostics)
     if mixed_range is None:
         return report
-    ks = np.arange(math.floor(x_min), math.ceil(x_max))  # (k, k+1] in the scan and the range
-    lo, hi = np.maximum(ks, x_min), np.minimum(ks + 1.0, x_max)
     f0 = w[np.searchsorted(pts, lo)] + np.where(lo == ks, 1.0 / mu[ks], 0.0) - r
     f1 = w[np.searchsorted(pts, hi)] - r
     flat = (np.abs(f0) <= TOL_EQ) & (np.abs(f1) <= TOL_EQ)

@@ -7,8 +7,12 @@ the paper's closed form gives the pure equilibria below a two-rate
 policy's service threshold from r_tilde * mu_low alone; the
 below-threshold brute force checks the two-sided delay condition
 directly with the constant-low-rate closed forms; the best-response scan
-applies the definition of a pure equilibrium to dense solves; the grid loop
-builds the mixed sweep's grid one point at a time; the grid search finds
+applies the definition of a pure equilibrium to dense solves; the contiguous
+scan is the pure scan of the loose delay bounds n0/M <= w(n0) <= n0/mu_1,
+every integer from r_tilde mu_1 - 1 to r_tilde M, and the contiguous search
+runs ``find_equilibria`` on it, every candidate tested and every unit
+interval searched, to show what the level-wise bounds leave out; the grid
+loop builds the mixed sweep's grid one point at a time; the grid search finds
 mixed roots by probing each unit interval and bisecting every sign change,
 without assuming that w is monotone there; the ring-buffer coupling block
 stores every customer's requirement, joiners included, in an n0-wide ring
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 
+from threshq import equilibrium
 from threshq.delay import marginal_delays
 from threshq.model import strategy_from_x
 from threshq.sim import _STREAM_SOJOURN, SimConfig, SojournEstimate, _generator
@@ -106,6 +112,31 @@ def best_response_equilibria(params, policy, tol=1e-9):
         if joins and r - at_balk <= tol:
             hits.append(n0)
     return hits
+
+
+def contiguous_scan(params, policy):
+    """Every integer from r_tilde mu_1 - 1 to r_tilde M, both ends within 1e-9:
+    the pure candidates the loose bounds n0/M <= w(n0) <= n0/mu_1 leave."""
+    r = params.r_tilde
+    return range(max(math.ceil(r * _rate(policy, 1) - 1.0 - 1e-9), 0),
+                 math.floor(r * policy.max_rate + 1e-9) + 1)
+
+
+def contiguous_equilibria(params, policy, mixed_range=None):
+    """``find_equilibria`` with every integer of contiguous_scan a candidate and
+    every unit interval between them searched: the level-wise tests of
+    ``equilibrium._scan`` are replaced by ones that pass every level, after it
+    has made its own checks and refusals."""
+    scan = contiguous_scan(params, policy)
+    passes = np.ones(scan.stop, dtype=bool)
+    scan_checked = equilibrium._scan
+
+    def every_level(params, policy):
+        scan_checked(params, policy)
+        return np.arange(scan.start, scan.stop), policy.rates(scan.stop), (passes, passes)
+
+    with mock.patch.object(equilibrium, "_scan", every_level):
+        return equilibrium.find_equilibria(params, policy, mixed_range)
 
 
 def threshold_policy_below_T(params, policy):

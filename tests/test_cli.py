@@ -175,15 +175,17 @@ class TestEquilibriaCommand:
         doc = json.loads(out)
         assert code == 0 and len(doc["mixed_points"]) == 1
 
-    # besides the scan 16..42, the range ends the first solve holds: an end
-    # enters only where it cuts a unit interval with both ends in the scan
-    FIRST_SOLVE_ENDS = {"24.5:45.5": [24.5], "1.5:3": [], "0.5:3000": []}
+    # the candidates of R = 8.5 are 16, 17 and 24..42: 18..23 lie over
+    # r_tilde mu_low = 17. Besides them the first solve holds the ends of each
+    # searched unit interval of the scan 16..42, (16, 17] and (23, 24]..(41, 42],
+    # so 23 too, with a range end where it cuts one of them
+    FIRST_SOLVE_EXTRA = {"24.5:45.5": [24.5], "1.5:3": [], "0.5:3000": [23]}
 
     @pytest.mark.parametrize("spec, roots", [("24.5:45.5", 3), ("1.5:3", 0), ("0.5:3000", 3)])
     def test_one_solve_before_refinement(self, monkeypatch, capsys, case_study_instance,
                                          spec, roots):
-        # the first solve holds the scan and the range ends that cut a scanned
-        # interval; every later one holds bracket interiors only
+        # the first solve holds the candidates and the ends of the searched
+        # intervals; every later one holds bracket interiors only
         calls = []
 
         def record(policy, xs, params):
@@ -196,7 +198,7 @@ class TestEquilibriaCommand:
         doc = json.loads(out)
         assert code == 0 and len(doc["mixed_points"]) == roots
         assert doc["pure"] == [16, 17, 25, 36, 37]
-        assert first.tolist() == sorted({*range(16, 43), *self.FIRST_SOLVE_ENDS[spec]})
+        assert first.tolist() == sorted({16, 17, *range(24, 43), *self.FIRST_SOLVE_EXTRA[spec]})
         assert bool(refine) == bool(roots)
         for xs in refine:
             assert len(xs) % equilibrium.REFINE_POINTS == 0 and np.all(xs != np.round(xs))
@@ -271,7 +273,9 @@ class TestEquilibriaCommand:
         header, *rows = [line.split(",") for line in text.splitlines()]
         assert header == ["n0", "W_marginal", "lower_bound", "upper_bound", "is_equilibrium"]
         diagnostics = json.loads(out)["diagnostics"]
-        assert len(rows) == len(diagnostics) == 27  # the scan 16..42
+        # the candidates 16, 17 and 24..42: the scan 16..42 less 18..23, which lie
+        # over r_tilde mu_low = 17
+        assert len(rows) == len(diagnostics) == 21
         for row, d in zip(rows, diagnostics):
             assert list(d) == header
             assert int(row[0]) == d["n0"]
@@ -298,6 +302,21 @@ class TestScanEdge:
         code, out, err = run_cli(capsys, "equilibria", "--instance", str(path), "--table1", "3161")
         assert code == 0 and err == ""
         assert out.splitlines()[1] == "3161,,3160;3161,3156.84,3161"
+
+    # mu_1 = 0.5 and M = 1: the loose bounds scan 1580..3161, 1,582 candidates;
+    # the level-wise ones leave 3159..3161, as H(n0+1) = n0 + 2 >= 3161
+    @pytest.mark.parametrize("policy", [{"prefix": [0.5], "tail": 1.0},
+                                        {"T": 1, "mu_low": 0.5, "mu_high": 1.0}])
+    def test_slow_first_rate_at_budget_edge(self, tmp_path, capsys, policy):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": 3161.0, "wait_cost": 1.0,
+                                    "policy": policy}))
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(path))
+        doc = json.loads(out)
+        assert (code, err, doc["pure"], doc["range"]) == (0, "", [3160, 3161], [3159.0, 3161.0])
+        assert [d["n0"] for d in doc["diagnostics"]] == [3159, 3160, 3161]
+        code, out, err = run_cli(capsys, "equilibria", "--instance", str(path), "--table1", "3161")
+        assert (code, err, out) == (0, "", "R,below_T,above_T,L,U\n3161,,3160;3161,1580,3161\n")
 
 
     @pytest.mark.parametrize("reward, wait_cost, extra", [

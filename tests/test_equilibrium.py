@@ -9,6 +9,8 @@ from threshq.equilibrium import (
     TOL_EQ,
     CandidateDiagnostic,
     find_equilibria,
+    pure_candidates,
+    pure_equilibria,
     sweep_mixed,
 )
 from threshq import equilibrium as eq_mod
@@ -18,6 +20,8 @@ from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 from _oracles import (
     best_response_equilibria,
     brute_force_below_threshold,
+    contiguous_equilibria,
+    contiguous_scan,
     dense_delay_solve,
     grid_mixed_equilibria,
     naor_set,
@@ -77,20 +81,28 @@ class TestBestResponse:
 
 
 class TestPureCandidateRange:
-    """The reported candidate_range of find_equilibria."""
+    """The candidates of the level-wise bounds n0/mu_{n0} <= w(n0) <= H(n0),
+    H(k) = 1/mu_1 + ... + 1/mu_k: n0 <= r_tilde mu_{n0} and H(n0+1) >= r_tilde,
+    and the reported candidate_range, their first and last."""
 
     def test_two_rate_bounds(self):
         # the scan's ends, as for any policy; the paper's L and U are --table1's
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
+        # r_tilde = 8: H(n0+1) = (n0+1)/2 >= 8 from n0 = 15; n0 <= 8 * 2 = 16 up
+        # to T = 23 and n0 <= 8 * 5 = 40 above it, so 17..23 are skipped
         assert find_equilibria(params_R(8.0), pol).candidate_range == (15.0, 40.0)
-        assert find_equilibria(params_R(13.0), pol).candidate_range == (25.0, 65.0)
+        assert pure_candidates(params_R(8.0), pol).tolist() == [15, 16, *range(24, 41)]
+        # r_tilde = 13: H(n0+1) = 23/2 + (n0+1-23)/5 >= 13 from n0 = 30; n0 <= 13 * 5 = 65
+        assert find_equilibria(params_R(13.0), pol).candidate_range == (30.0, 65.0)
+        assert pure_candidates(params_R(13.0), pol).tolist() == list(range(30, 66))
 
     def test_general_bounds(self):
-        # the scan bounds r_tilde mu_1 - 1 <= n0 <= r_tilde M
+        # rates 1, 2, 2, ...: H(n0+1) = 1 + n0/2 >= 3 from n0 = 4, and
+        # n0 <= 3 mu_{n0} = 6; the loose bounds scanned 2..6
         pol = ServiceRatePolicy((1.0,), 2.0)
         p = params_R(3.0, lam=1.0)
-        low, high = find_equilibria(p, pol).candidate_range
-        assert low == math.ceil(3.0 * 1.0 - 1.0) and high == 6
+        assert find_equilibria(p, pol).candidate_range == (4.0, 6.0)
+        assert list(contiguous_scan(p, pol)) == [2, 3, 4, 5, 6]
 
     def test_zero_reward(self):
         pol = ServiceRatePolicy.constant(2.0)
@@ -104,6 +116,32 @@ class TestPureCandidateRange:
         # r_tilde * M = 10^12: the scan's last full table is refused, not allocated
         with pytest.raises(ValueError, match="over the limit"):
             find_equilibria(EconomicParams(1.0, 1e12, 1.0), ServiceRatePolicy.constant(1.0))
+
+    def test_reward_3161_three_candidates(self):
+        # rates 0.5, 1, 1, ...: H(n0+1) = n0 + 2 >= 3161 from n0 = 3159, and
+        # n0 <= 3161 mu_{n0}; the loose bounds scanned 1580..3161, 1,582 candidates
+        rep = find_equilibria(EconomicParams(1.0, 3161.0, 1.0), ServiceRatePolicy((0.5,), 1.0))
+        assert rep.pure_equilibria == [3160, 3161]
+        assert [d.n0 for d in rep.diagnostics] == [3159, 3160, 3161]
+
+    def test_pure_equilibria_of_many_rewards_one_solve(self, monkeypatch):
+        calls = []
+
+        def record(policy, xs, params):
+            calls.append(len(xs))
+            return marginal_delays(policy, xs, params)
+        rng = np.random.default_rng(2323)
+        policies = [ServiceRatePolicy.two_rate(23, 2.0, 5.0),
+                    *(random_policy(rng) for _ in range(20))]
+        for pol in policies:
+            rewards = (8.0, 8.15, 8.5, 9.5, 13.0, *rng.uniform(0.0, 20.0, 3))
+            instances = [params_R(R) for R in rewards]
+            expect = [find_equilibria(p, pol).pure_equilibria for p in instances]
+            calls.clear()
+            monkeypatch.setattr(eq_mod, "marginal_delays", record)
+            assert pure_equilibria(pol, instances) == expect
+            monkeypatch.undo()
+            assert len(calls) == 1
 
 
 class TestIsPureEquilibrium:
@@ -348,6 +386,22 @@ class TestFindMixedEquilibria:
         with pytest.raises(ValueError):
             mixed_equilibria(params_R(8.5), self.POL, 5.0, 2.0)
 
+    def test_root_left_of_a_skipped_level(self):
+        # R = 9.5: 23 > r_tilde mu_23 = 19, so 23 is no pure candidate, yet
+        # (23, 24] is searched, since H(24) = 11.7 >= 9.5 and 24 <= 9.5 * 5, and
+        # it holds the root 23.746...; a search of the intervals with both ends
+        # among the candidates would miss it
+        p = params_R(9.5)
+        assert 23 not in pure_candidates(p, self.POL) and 24 in pure_candidates(p, self.POL)
+        assert mixed_equilibria(p, self.POL, 1e-6, 52.5) == ([23.746044517640257], [(18.0, 19.0)])
+
+    def test_case_study_r815_seven_roots(self):
+        pts, ivals = mixed_equilibria(params_R(8.15), self.POL, 1e-6, 45.75)
+        assert pts == [25.995224324200535, 26.680000394335366, 27.500147235710756,
+                       28.46519272630394, 29.539208917383803, 30.691680417905445,
+                       31.915513658052078]
+        assert ivals == []
+
     def test_roots_are_noninteger(self):
         pts, _ = mixed_equilibria(params_R(8.5), self.POL, 24.0, 40.0)
         for x in pts:
@@ -377,6 +431,99 @@ class TestFindMixedEquilibria:
             w = marginal_delays(policy, xs, params)
             assert w[1] == pytest.approx(w[0] + 1.0 / mu[k], rel=1e-10, abs=0.0), k
             assert np.all(np.diff(w[1:]) <= 1e-12 * np.abs(w[1:-1])), k
+
+
+@st.composite
+def scan_instances(draw):
+    """(params, policy, mixed_range): a general or two-rate policy whose rates
+    span up to a factor of 100, so that the level-wise tests cut deep, and
+    r_tilde M at most 200. The reward sits on an edge of the tests (r_tilde
+    = H(k) or k/mu_k), at w(x) of a drawn x, or anywhere. The mixed range is
+    absent, drawn (around x when there is one), or all of (1e-6, r_tilde M + 5]."""
+    lam = draw(st.floats(0.05, 8.0))
+    if draw(st.booleans()):
+        mu_l = draw(st.floats(0.05, 4.0))
+        policy = ServiceRatePolicy.two_rate(draw(st.integers(1, 40)), mu_l,
+                                            mu_l * draw(st.floats(1.01, 100.0)))
+    else:
+        rates = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=30)))
+        policy = ServiceRatePolicy(tuple(rates[:-1]), rates[-1])
+    cap = 200.0 / policy.max_rate
+    mu = policy.rates(200)
+    edges = {"H": np.cumsum(1.0 / mu), "lower": np.arange(1, 201) / mu}
+    kind = draw(st.sampled_from(["H", "lower", "root", "free"]))
+    if kind in edges:
+        values = edges[kind][edges[kind] <= cap]  # never empty: 1/mu_1 <= 100/M
+        r = float(values[draw(st.integers(0, len(values) - 1))])
+    elif kind == "root":
+        top = int(np.count_nonzero(edges["H"] <= cap))  # w(x) <= H(ceil(x)) <= cap
+        x = draw(st.integers(0, top - 1)) + draw(st.floats(0.05, 0.95))
+        r = float(marginal_delays(policy, [x], params_R(1.0, lam=lam))[0])
+    else:
+        r = draw(st.floats(0.0, cap))
+    span = draw(st.sampled_from(["none", "drawn", "whole"]))
+    if span == "none":
+        mixed_range = None
+    elif span == "drawn":
+        # around the root's x, or anywhere up to past the scan
+        x_min = max(x - draw(st.floats(0.0, 3.0)), 0.01) if kind == "root" else \
+            draw(st.floats(0.05, r * policy.max_rate + 2.0))
+        mixed_range = (x_min, x_min + draw(st.floats(0.05, 40.0)))
+    else:
+        mixed_range = (1e-6, r * policy.max_rate + 5.0)
+    return params_R(r, lam=lam), policy, mixed_range
+
+
+@st.composite
+def level_bound_cases(draw):
+    """(params, policy, xs): a general policy with rates from 0.01 to 100 or a
+    two-rate one with T up to 200, and thresholds x in (n0 - 1, n0],
+    n0 up to 200, a third of them pure."""
+    lam = draw(st.floats(0.01, 20.0))
+    if draw(st.booleans()):
+        mu_l = draw(st.floats(0.01, 10.0))
+        policy = ServiceRatePolicy.two_rate(draw(st.integers(1, 200)), mu_l,
+                                            mu_l * draw(st.floats(1.01, 10.0)))
+    else:
+        rates = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=40)))
+        policy = ServiceRatePolicy(tuple(rates[:-1]), rates[-1])
+    n0s = draw(st.lists(st.integers(1, 200), min_size=1, max_size=12))
+    below = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+                          min_size=len(n0s), max_size=len(n0s)))
+    return params_R(1.0, lam=lam), policy, np.array(n0s) - np.array(below)
+
+
+class TestLevelBounds:
+    """n0/mu_{n0} <= w(x) <= H(n0) for x in (n0 - 1, n0], and the scan they cut."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(level_bound_cases())
+    def test_level_bounds_hold(self, case):
+        # n0 departures, each while at least j (j - 1 still ahead) and at most
+        # n0 are present; rounding stays within 4 n0 u relative
+        params, policy, xs = case
+        w = marginal_delays(policy, xs, params)
+        n0 = np.ceil(xs).astype(int)
+        mu = policy.rates(200)
+        rel = 4.0 * n0 * 2.0**-53
+        assert np.all(n0 / mu[n0 - 1] <= w * (1.0 + rel)), (policy, xs)
+        assert np.all(w <= np.cumsum(1.0 / mu)[n0 - 1] * (1.0 + rel)), (policy, xs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scan_instances())
+    def test_same_report_as_contiguous_scan(self, instance):
+        params, policy, mixed_range = instance
+        rep = find_equilibria(params, policy, mixed_range)
+        ref = contiguous_equilibria(params, policy, mixed_range)
+        assert [d.n0 for d in ref.diagnostics] == list(contiguous_scan(params, policy))
+        assert rep.pure_equilibria == ref.pure_equilibria
+        assert rep.mixed_points == ref.mixed_points
+        assert rep.mixed_intervals == ref.mixed_intervals
+        rows = {d.n0: d for d in ref.diagnostics}
+        assert all(d == rows[d.n0] for d in rep.diagnostics)
+        kept = [d.n0 for d in rep.diagnostics]
+        assert kept == pure_candidates(params, policy).tolist()
+        assert rep.candidate_range == (kept[0], kept[-1])
 
 
 class TestSweeps:
