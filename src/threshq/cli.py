@@ -9,9 +9,9 @@ leaves no state in it. Importing this module builds nothing.
 Output goes to stdout or, with --out DIR, to files in DIR; an --out that
 cannot be written is malformed input. The delay table streams to its target
 row by row, so a run's memory follows the table and not its text. The
-equilibria report is written from fixed templates; its bytes are those of
-``json.dumps(report.to_json_dict(), indent=2)``, which the oracle test in
-tests/test_writers.py pins.
+equilibria report is written from fixed templates (``_json_report``), the
+one owner of its JSON layout; its bytes are those json.dumps(indent=2) writes
+for the same keys and values, which the oracle test in tests/test_writers.py pins.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ import sys
 from . import delay as delay_mod
 from . import equilibrium as eq_mod
 from . import sim as sim_mod
-from .model import EconomicParams, InstanceError, _finite, load_instance, strategy_from_x
+from .model import (EconomicParams, InstanceError, _finite, check_cells, check_table_size,
+                    load_instance, strategy_from_x)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,7 +129,7 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[" + inner[1:] + inner.join(items) + "\n" + indent + "]"
 
 
-# the report and one diagnostic in the layout of json.dumps(report.to_json_dict(), indent=2)
+# the report and one diagnostic in the layout json.dumps(..., indent=2) gives their dicts
 _REPORT = ('{\n  "pure": %s,\n  "mixed_points": %s,\n  "mixed_intervals": %s,\n'
            '  "range": %s,\n  "diagnostics": %s,\n  "scope": "recurrent-class"\n}\n')
 _DIAGNOSTIC = "{\n" + ",\n".join(f'      "{key}": %s'
@@ -136,7 +137,7 @@ _DIAGNOSTIC = "{\n" + ",\n".join(f'      "{key}": %s'
 
 
 def _json_report(report: eq_mod.EquilibriumReport) -> str:
-    """The report as JSON text: json.dumps(report.to_json_dict(), indent=2) and a newline."""
+    """The report as JSON text and a newline, laid out as by json.dumps(indent=2)."""
     num = _json_value
     return _REPORT % (
         _json_list([num(k) for k in report.pure_equilibria], "  "),
@@ -148,7 +149,7 @@ def _json_report(report: eq_mod.EquilibriumReport) -> str:
 
 def cmd_delay(args, params, policy) -> int:
     # the balk state is ceil(x); check it before building a strategy that long
-    delay_mod.check_table_size(args.x, "x")
+    check_table_size(args.x, "x")
     strategy = strategy_from_x(args.x)
     table = delay_mod.solve_delay_table(policy, strategy, params)
     with _target(args.out, "delay_table.csv") as fh:
@@ -184,7 +185,7 @@ def cmd_equilibria(args, params, policy) -> int:
             raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected a:b, with no step")
         if not 0.0 < mixed[0] < mixed[1]:
             raise InstanceError(f"bad --mixed-range {args.mixed_range!r}; expected 0 < a < b")
-        delay_mod.check_table_size(mixed[1], "--mixed-range")
+        check_table_size(mixed[1], "--mixed-range")
     report = eq_mod.find_equilibria(params, policy, mixed[:2] if mixed else None)
     if args.out is not None:
         _write(args.out, "diagnostics.csv", _csv(eq_mod.CandidateDiagnostic._fields, report.diagnostics))
@@ -194,7 +195,7 @@ def cmd_equilibria(args, params, policy) -> int:
 
 def cmd_sweep(args, params, policy) -> int:
     a, b, step = _parse_range(args.range)
-    delay_mod.check_table_size(b, "range end")
+    check_table_size(b, "range end")
     if args.kind == "pure_n0":
         if step is not None or not (a.is_integer() and b.is_integer()) or a < 1.0:
             raise InstanceError(f"bad --range {args.range!r}; pure_n0 expects integers "
@@ -211,8 +212,8 @@ def cmd_sweep(args, params, policy) -> int:
 
 
 def cmd_simulate(args, params, policy) -> int:
-    delay_mod.check_table_size(args.x, "x")
-    delay_mod.check_cells(args.reps, "--reps")
+    check_table_size(args.x, "x")
+    check_cells(args.reps, "--reps")
     strategy = strategy_from_x(args.x)
     config = sim_mod.SimConfig(args.seed, args.reps, params, policy, strategy)
     est = sim_mod.simulate_sojourn(config, args.n)
@@ -229,8 +230,8 @@ def cmd_verify_coupling(args, params, policy) -> int:
         raise InstanceError(f"--n0 must be nonnegative, got {args.n0}")
     x = args.x if args.x is not None else _finite(args.n0, "--n0")  # an int past any float is inf
     # ceil(x) is the balk state, held to the budget of every other command
-    delay_mod.check_table_size(x, "x")
-    delay_mod.check_cells(args.reps * (args.n + 1), "--reps x (n + 1)")
+    check_table_size(x, "x")
+    check_cells(args.reps * (args.n + 1), "--reps x (n + 1)")
     strategy = strategy_from_x(x)
     if strategy.balk_state != args.n0:
         raise InstanceError("x inconsistent with n0")

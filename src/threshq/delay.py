@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_TABLE_CELLS, EconomicParams, JoinStrategy, ServiceRatePolicy,  # noqa: F401
-                    check_cells, check_table_size, threshold_probs)
+from .model import (EconomicParams, JoinStrategy, ServiceRatePolicy, check_table_size,
+                    threshold_probs)
 
 # strategies x padded balk state per batched sweep; larger batches are split,
 # so the memory of a batched solve stays a few MB whatever its size
@@ -119,7 +119,7 @@ def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
                       params: EconomicParams) -> DelayTable:
     """Solve the first-step equations for all W(n, m), 0 <= n < m <= n0.
 
-    A balk state of 0 yields an empty table; a table over MAX_TABLE_CELLS
+    A balk state of 0 yields an empty table; a table over model.MAX_TABLE_CELLS
     raises ValueError.
     """
     n0 = strategy.balk_state

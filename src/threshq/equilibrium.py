@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay import check_cells, check_table_size, marginal_delays
-from .model import EconomicParams, ServiceRatePolicy
+from .delay import marginal_delays
+from .model import EconomicParams, ServiceRatePolicy, check_cells, check_table_size
 
 TOL_EQ = 1e-9       # |w - r_tilde| at an equality, an indifference or a mixed root, time units
 TOL_ROOT_X = 1e-10  # width of a refined mixed-root bracket
@@ -65,26 +65,14 @@ class EquilibriumReport:
     candidate_range: tuple[float, float] = (0.0, 0.0)
     diagnostics: list[CandidateDiagnostic] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pure": list(self.pure_equilibria),
-            "mixed_points": list(self.mixed_points),
-            "mixed_intervals": [[a, b] for a, b in self.mixed_intervals],
-            "range": list(self.candidate_range),
-            "diagnostics": [d._asdict() for d in self.diagnostics],
-            "scope": "recurrent-class",
-        }
-
 
 def _scan(params: EconomicParams, policy: ServiceRatePolicy):
-    """(scan, mu, (low, high)): the contiguous scan of the loose bounds
-    n0/M <= w(n0) <= n0/mu_1, the integers from r_tilde mu_1 - 1 to r_tilde M
-    (within TOL_EQ); mu[k] = mu_{k+1}; and per level n = 0..floor(r_tilde M) the
-    level-wise tests low: n/mu_n <= r_tilde and high: H(n+1) >= r_tilde, with a
-    slack of TOL_EQ + n 2^-50 r_tilde for the rounding of w and H (each within
-    about n u relative, u = 2^-53). ValueError unless r_tilde * M is finite and
-    the last level's full delay table passes delay.check_table_size, before
-    anything is built."""
+    """(mu, low, high): mu[k] = mu_{k+1}, and per level n = 0..floor(r_tilde M)
+    (within TOL_EQ) the level-wise tests low: n/mu_n <= r_tilde and high:
+    H(n+1) >= r_tilde, with a slack of TOL_EQ + n 2^-50 r_tilde for the rounding
+    of w and H (each within about n u relative, u = 2^-53). ValueError unless
+    r_tilde * M is finite and the last level's full delay table passes
+    model.check_table_size, before anything is built."""
     r = params.r_tilde
     if not math.isfinite(r * policy.max_rate):
         raise ValueError("r_tilde * M must be finite")
@@ -93,17 +81,17 @@ def _scan(params: EconomicParams, policy: ServiceRatePolicy):
     mu = policy.rates(top + 1)
     n = np.arange(top + 1)
     slack = TOL_EQ + n * 2.0**-50 * r
-    level = (n / np.concatenate((mu[:1], mu[:top])) <= r + slack,  # n/mu_n, 0 at n = 0
-             np.cumsum(1.0 / mu) >= r - slack)  # H(n+1)
-    return n[max(math.ceil(r * mu[0] - 1.0 - TOL_EQ), 0):], mu, level
+    return (mu, n / np.concatenate((mu[:1], mu[:top])) <= r + slack,  # n/mu_n, 0 at n = 0
+            np.cumsum(1.0 / mu) >= r - slack)  # H(n+1)
 
 
 def pure_candidates(params: EconomicParams, policy: ServiceRatePolicy) -> np.ndarray:
-    """The sorted pure thresholds n0 of the contiguous scan that pass both level-wise
-    tests: n0 <= r_tilde mu_{n0}, as w(n0) >= n0/mu_{n0}, and H(n0+1) >= r_tilde, as
-    w(n0+) <= H(n0+1). Never empty, not always contiguous; raises as _scan does."""
-    scan, _, (low, high) = _scan(params, policy)
-    return scan[low[scan] & high[scan]]
+    """The sorted pure thresholds n0 that pass both level-wise tests: n0 <= r_tilde mu_{n0},
+    as w(n0) >= n0/mu_{n0}, and H(n0+1) >= r_tilde, as w(n0+) <= H(n0+1). Never empty (the
+    first level to pass the second passes the first, H(n0) >= n0/mu_{n0}), not always
+    contiguous; raises as _scan does."""
+    _, low, high = _scan(params, policy)
+    return np.flatnonzero(low & high)
 
 
 def _diagnostics(r: float, n0s: np.ndarray, w: np.ndarray,
@@ -118,9 +106,11 @@ def _diagnostics(r: float, n0s: np.ndarray, w: np.ndarray,
 
 def pure_equilibria(policy: ServiceRatePolicy, instances: list[EconomicParams]) -> list[list[int]]:
     """The pure equilibria of each instance, as find_equilibria reports them. The instances
-    share the arrival rate, so w does not depend on which one is solved: one batched solve
-    at the union of their pure_candidates serves them all. Every instance's scan is
-    checked before anything is solved."""
+    must share the arrival rate (ValueError otherwise), so w does not depend on which one
+    is solved: one batched solve at the union of their pure_candidates serves them all.
+    Every instance's scan is checked before anything is solved."""
+    if len({p.arrival_rate for p in instances}) > 1:
+        raise ValueError("pure_equilibria needs one arrival rate for all instances")
     scans = [pure_candidates(p, policy) for p in instances]
     n0s = np.unique(np.concatenate(scans))
     w = marginal_delays(policy, n0s, instances[0])
@@ -136,8 +126,8 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
 
     One batched solve gives w at pure_candidates. Candidate n0 is an
     equilibrium iff r_tilde - 1/mu_{n0+1} <= w(n0) <= r_tilde within TOL_EQ,
-    with W(-1, 0) = 0 for n0 = 0 (always balk). A unit interval (k, k+1] of
-    the contiguous scan is searched only if the level-wise bounds let
+    with W(-1, 0) = 0 for n0 = 0 (always balk). A unit interval (k, k+1] in
+    [0, floor(r_tilde M)] is searched only if the level-wise bounds let
     w(k+) >= r_tilde >= w(k+1), that is H(k+1) >= r_tilde and
     k+1 <= r_tilde mu_{k+1}; the same solve then gives w at both its ends,
     or at a range end where it cuts the interval, whether or not k is a pure
@@ -149,15 +139,15 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     Roots within 1e-9 of an integer are pure thresholds and are dropped.
     """
     r = params.r_tilde
-    scan, mu, (low, high) = _scan(params, policy)
-    n0s = scan[low[scan] & high[scan]]
+    mu, low, high = _scan(params, policy)
+    n0s = np.flatnonzero(low & high)
     pts = n0s.astype(float)
     if mixed_range is not None:
         if not (0.0 < mixed_range[0] < mixed_range[1]):
             raise ValueError("need 0 < x_min < x_max")
-        # into the scan, as floats: int ends would make brackets the refinement cannot move
-        x_min, x_max = np.clip(mixed_range, float(scan[0]), float(scan[-1])).tolist()
-        ks = np.arange(math.floor(x_min), math.ceil(x_max))  # (k, k+1] in the scan and the range
+        # into the levels, as floats: int ends would make brackets the refinement cannot move
+        x_min, x_max = np.clip(mixed_range, 0.0, len(low) - 1.0).tolist()
+        ks = np.arange(math.floor(x_min), math.ceil(x_max))  # (k, k+1] in the levels and the range
         ks = ks[high[ks] & low[ks + 1]]  # H(k+1) >= w(k+) >= r_tilde >= w(k+1) >= (k+1)/mu_{k+1}
         lo, hi = np.maximum(ks, x_min), np.minimum(ks + 1.0, x_max)
         pts = np.union1d(pts, np.concatenate((lo, hi)))
@@ -208,7 +198,7 @@ def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
     n0 = x_lo..x_hi, each row's w the marginal delay W(n0-1, n0).
 
     Its points times its largest balk state ceil(x_hi) + 1 must pass
-    delay.check_cells, or ValueError is raised before the grid is built.
+    model.check_cells, or ValueError is raised before the grid is built.
     """
     if not (step > 0.0 and math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError("sweep needs a finite range and a positive step")

@@ -9,9 +9,10 @@ below-threshold brute force checks the two-sided delay condition
 directly with the constant-low-rate closed forms; the best-response scan
 applies the definition of a pure equilibrium to dense solves; the contiguous
 scan is the pure scan of the loose delay bounds n0/M <= w(n0) <= n0/mu_1,
-every integer from r_tilde mu_1 - 1 to r_tilde M, and the contiguous search
-runs ``find_equilibria`` on it, every candidate tested and every unit
-interval searched, to show what the level-wise bounds leave out; the grid
+every integer from r_tilde mu_1 - 1 to r_tilde M, both ends within 1e-9 of a
+count, and the contiguous search runs ``find_equilibria`` on it, every
+candidate tested and every unit interval searched, to show what the
+level-wise bounds leave out; the grid
 loop builds the mixed sweep's grid one point at a time; the grid search finds
 mixed roots by probing each unit interval and bisecting every sign change,
 without assuming that w is monotone there; the ring-buffer coupling block
@@ -95,8 +96,10 @@ def closed_form_below_T(policy, n):
     return (n + 1) / mu_low
 
 
-def best_response_equilibria(params, policy, tol=1e-9):
-    """Pure threshold equilibria by definition, for n0 in 0..floor(r_tilde M).
+def best_response_equilibria(params, policy, tol=1e-9, levels=None):
+    """Pure threshold equilibria by definition, for n0 in ``levels`` (by default
+    every level 0..floor(r_tilde M); each costs a dense solve of n0 (n0+1)/2
+    unknowns).
 
     With everyone joining below n0 and balking at n0, n0 is an equilibrium
     when an arrival at every state n < n0 joins, r_tilde - W(n, n+1) >= -tol,
@@ -105,7 +108,7 @@ def best_response_equilibria(params, policy, tol=1e-9):
     """
     r = params.r_tilde
     hits = []
-    for n0 in range(math.floor(r * policy.max_rate + tol) + 1):
+    for n0 in range(math.floor(r * policy.max_rate + tol) + 1) if levels is None else levels:
         W = dense_delay_solve(policy, strategy_from_x(n0), params)
         joins = all(r - W[(n, n + 1)] >= -tol for n in range(n0))
         at_balk = 1.0 / _rate(policy, n0 + 1) + (W[(n0 - 1, n0)] if n0 else 0.0)
@@ -125,15 +128,15 @@ def contiguous_scan(params, policy):
 def contiguous_equilibria(params, policy, mixed_range=None):
     """``find_equilibria`` with every integer of contiguous_scan a candidate and
     every unit interval between them searched: the level-wise tests of
-    ``equilibrium._scan`` are replaced by ones that pass every level, after it
-    has made its own checks and refusals."""
+    ``equilibrium._scan`` are replaced by ones that pass exactly the levels of
+    contiguous_scan, after it has made its own checks and refusals."""
     scan = contiguous_scan(params, policy)
-    passes = np.ones(scan.stop, dtype=bool)
+    passes = np.arange(scan.stop) >= scan.start
     scan_checked = equilibrium._scan
 
     def every_level(params, policy):
         scan_checked(params, policy)
-        return np.arange(scan.start, scan.stop), policy.rates(scan.stop), (passes, passes)
+        return policy.rates(scan.stop), passes, passes
 
     with mock.patch.object(equilibrium, "_scan", every_level):
         return equilibrium.find_equilibria(params, policy, mixed_range)
@@ -186,8 +189,11 @@ def brute_force_below_threshold(params, policy, tol=1e-9):
 
 def naor_set(r_tilde, mu):
     """Classical constant-rate equilibrium set {n >= 0 : r mu - 1 <= n <= r mu}."""
-    # the same 1e-9 integer tolerance the solver uses, so that a product
-    # landing one ulp away from an integer is classified identically
+    # a 1e-9 tolerance on the count r mu at both ends, so that a product one ulp
+    # from an integer is classified as the solver does. The solver keeps it at the
+    # top level only; its low end applies 1e-9 to time, n >= r - 1/mu - 1e-9, so
+    # the two differ only where r mu - 1 lies above an integer by more than 1e-9
+    # and at most 1e-9 mu, a window that exists only for mu > 1
     lo = max(math.ceil(r_tilde * mu - 1.0 - 1e-9), 0)
     hi = math.floor(r_tilde * mu + 1e-9)
     return [n for n in range(lo, hi + 1)]
@@ -399,8 +405,15 @@ def loop_delay_csv(table) -> str:
 
 
 def dumps_report(report) -> str:
-    """The equilibria report as json.dumps writes it, and a newline."""
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    """The equilibria report as json.dumps writes its dict, and a newline."""
+    return json.dumps({
+        "pure": list(report.pure_equilibria),
+        "mixed_points": list(report.mixed_points),
+        "mixed_intervals": [[a, b] for a, b in report.mixed_intervals],
+        "range": list(report.candidate_range),
+        "diagnostics": [d._asdict() for d in report.diagnostics],
+        "scope": "recurrent-class",
+    }, indent=2) + "\n"
 
 
 def typed_csv(header, rows) -> str:

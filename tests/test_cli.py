@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from threshq import cli, delay, equilibrium, sim
+from threshq import cli, delay, equilibrium, model, sim
 from threshq.cli import main
 from threshq.model import EconomicParams, ServiceRatePolicy
 
@@ -125,7 +125,7 @@ class TestDelayCommand:
     def test_two_rate_T_at_limit_same_bytes(self, tmp_path, capsys, case_study_instance):
         # T = 23 and T = 10**7 both serve states 1..4 at mu_low
         doc = json.loads(case_study_instance.read_text())
-        doc["policy"]["T"] = delay.MAX_TABLE_CELLS
+        doc["policy"]["T"] = model.MAX_TABLE_CELLS
         path = tmp_path / "T_at_limit.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "delay", "--instance", str(path), "--x", "3")
@@ -160,6 +160,20 @@ class TestEquilibriaCommand:
         code, out, _ = run_cli(capsys, "equilibria", "--instance", str(constant_instance))
         assert code == 0
         assert json.loads(out)["pure"] == [6]
+
+    def test_low_edge_candidate(self, tmp_path, capsys):
+        # r_tilde mu = 11.000000003 is within 1e-9 of 11 in time, not in count:
+        # pure 10 and the continuum (10, 11], where w = 2.2 (see test_equilibrium)
+        path = tmp_path / "low_edge.json"
+        path.write_text(json.dumps({"lambda": 1.0, "reward": 2.2000000006, "wait_cost": 1.0,
+                                    "policy": {"prefix": [], "tail": 5.0}}))
+        code, out, _ = run_cli(capsys, "equilibria", "--instance", str(path))
+        doc = json.loads(out)
+        assert (code, doc["pure"], doc["range"]) == (0, [10, 11], [10.0, 11.0])
+        code, out, _ = run_cli(capsys, "equilibria", "--instance", str(path),
+                               "--mixed-range", "0.5:20")
+        doc = json.loads(out)
+        assert (code, doc["pure"], doc["mixed_intervals"]) == (0, [10, 11], [[10.0, 11.0]])
 
     def test_zero_reward(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from threshq import delay
+from threshq import delay, model
 from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
@@ -198,32 +198,32 @@ class TestWavefrontKernel:
             assert np.all(np.isfinite(t.entries[inside]))
 
     def test_table_over_cell_budget_rejected(self):
-        n0 = math.isqrt(delay.MAX_TABLE_CELLS) + 1
+        n0 = math.isqrt(model.MAX_TABLE_CELLS) + 1
         with pytest.raises(ValueError, match="over the limit"):
             solve_delay_table(ServiceRatePolicy.constant(1.0), strategy_from_x(n0),
                               EconomicParams(1.0, 1.0, 1.0))
         # the benchmark's largest tables (n0 near 300) stay far inside the budget
-        assert 300 * 301 * 100 < delay.MAX_TABLE_CELLS
+        assert 300 * 301 * 100 < model.MAX_TABLE_CELLS
 
 
 @pytest.mark.parametrize("cells, shown", [
-    (delay.MAX_TABLE_CELLS + 1, "10000001"), (float("nan"), "nan"), (float("inf"), "inf"),
+    (model.MAX_TABLE_CELLS + 1, "10000001"), (float("nan"), "nan"), (float("inf"), "inf"),
     (10**400, "inf"), (3e12, "3000000000000"), (1e15, "1e+15")],
     ids=["just_over", "nan", "inf", "int_past_float", "3e12", "1e15"])
 def test_check_cells_over_limit(cells, shown):
     with pytest.raises(ValueError) as exc:
-        delay.check_cells(cells, "grid")
+        model.check_cells(cells, "grid")
     assert str(exc.value) == f"grid needs {shown} values, over the limit of 10000000"
 
 
 def test_check_cells_at_limit_and_table_size():
-    delay.check_cells(delay.MAX_TABLE_CELLS, "grid")
-    delay.check_table_size(3161, "x")  # 3161 x 3162 cells
+    model.check_cells(model.MAX_TABLE_CELLS, "grid")
+    model.check_table_size(3161, "x")  # 3161 x 3162 cells
     with pytest.raises(ValueError,
                        match=r"^delay table for balk state 3162 needs 10001406 values"):
-        delay.check_table_size(3161.5, "x")
+        model.check_table_size(3161.5, "x")
     with pytest.raises(ValueError, match="^x must be finite, got nan$"):
-        delay.check_table_size(float("nan"), "x")
+        model.check_table_size(float("nan"), "x")
 
 
 class TestArrivalDelay:

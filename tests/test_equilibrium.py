@@ -13,6 +13,7 @@ from threshq.equilibrium import (
     pure_equilibria,
     sweep_mixed,
 )
+from threshq import cli
 from threshq import equilibrium as eq_mod
 from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
@@ -142,6 +143,25 @@ class TestPureCandidateRange:
             assert pure_equilibria(pol, instances) == expect
             monkeypatch.undo()
             assert len(calls) == 1
+
+    def test_pure_equilibria_refuses_mixed_arrival_rates(self):
+        # w depends on lambda: at R = 8.5, lambda = 0.5 has [16, 17], lambda = 3 five equilibria
+        pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
+        with pytest.raises(ValueError, match="one arrival rate"):
+            pure_equilibria(pol, [params_R(8.5), params_R(8.5, lam=0.5)])
+        assert pure_equilibria(pol, [params_R(8.5, lam=0.5)]) == [[16, 17]]
+
+    def test_low_edge_below_the_contiguous_scan(self):
+        # r_tilde mu = 11.000000003: the contiguous scan, its 1e-9 on the count,
+        # starts at 11, but H(11) = 2.2 is within 1e-9 of r_tilde in time, so
+        # 10 is a candidate, w(10) = 2 >= r_tilde - 1/5 - 1e-9 an equilibrium,
+        # and w(10+) = w(11) = 2.2 makes (10, 11] a continuum
+        p, pol = EconomicParams(1.0, 2.2000000006, 1.0), ServiceRatePolicy.constant(5.0)
+        assert contiguous_scan(p, pol).start == 11
+        rep = find_equilibria(p, pol)
+        assert rep.pure_equilibria == [10, 11] == best_response_equilibria(p, pol)
+        assert rep.candidate_range == (10.0, 11.0)
+        assert find_equilibria(p, pol, (0.5, 20.0)).mixed_intervals == [(10.0, 11.0)]
 
 
 class TestIsPureEquilibrium:
@@ -288,7 +308,7 @@ class TestEnumeratePure:
     def test_report_serialization(self):
         pol = ServiceRatePolicy.two_rate(23, 2.0, 5.0)
         rep = find_equilibria(params_R(8.5), pol)
-        doc = json.loads(json.dumps(rep.to_json_dict()))
+        doc = json.loads(cli._json_report(rep))
         assert doc["pure"] == [16, 17, 25, 36, 37]
         assert doc["scope"] == "recurrent-class"
         assert [list(d) for d in doc["diagnostics"]] == [list(CandidateDiagnostic._fields)] * len(
@@ -438,23 +458,35 @@ def scan_instances(draw):
     """(params, policy, mixed_range): a general or two-rate policy whose rates
     span up to a factor of 100, so that the level-wise tests cut deep, and
     r_tilde M at most 200. The reward sits on an edge of the tests (r_tilde
-    = H(k) or k/mu_k), at w(x) of a drawn x, or anywhere. The mixed range is
-    absent, drawn (around x when there is one), or all of (1e-6, r_tilde M + 5]."""
+    = H(k) or k/mu_k), at w(x) of a drawn x, or anywhere. Or it sits at the
+    low edge, r_tilde = (k + delta)/mu_1 with delta in (1e-9, 1e-9 mu_1) and
+    mu_1 > 1, k within the levels of rate mu_1: there the contiguous scan's
+    1e-9 on the count r_tilde mu_1 - 1 leaves out level k - 1, which TOL_EQ
+    on time, r_tilde - H(k), lets pass. The mixed range is absent, drawn
+    (around x when there is one), or all of (1e-6, r_tilde M + 5]."""
     lam = draw(st.floats(0.05, 8.0))
+    kind = draw(st.sampled_from(["H", "lower", "low_edge", "root", "free"]))
+    slowest = 1.01 if kind == "low_edge" else 0.05
     if draw(st.booleans()):
-        mu_l = draw(st.floats(0.05, 4.0))
+        mu_l = draw(st.floats(slowest, 4.0))
         policy = ServiceRatePolicy.two_rate(draw(st.integers(1, 40)), mu_l,
                                             mu_l * draw(st.floats(1.01, 100.0)))
     else:
-        rates = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=30)))
+        rates = sorted(draw(st.lists(st.floats(slowest, 5.0), min_size=1, max_size=30)))
         policy = ServiceRatePolicy(tuple(rates[:-1]), rates[-1])
     cap = 200.0 / policy.max_rate
     mu = policy.rates(200)
     edges = {"H": np.cumsum(1.0 / mu), "lower": np.arange(1, 201) / mu}
-    kind = draw(st.sampled_from(["H", "lower", "root", "free"]))
     if kind in edges:
         values = edges[kind][edges[kind] <= cap]  # never empty: 1/mu_1 <= 100/M
         r = float(values[draw(st.integers(0, len(values) - 1))])
+    elif kind == "low_edge":
+        # k/mu_1 <= cap / 2 for k = 1, as M <= 100 mu_1; k <= 40 keeps the
+        # dense best-response solve of an added level k - 1 small
+        flat = int(np.argmax(np.append(mu, np.inf) != mu[0]))  # levels of rate mu_1
+        k = draw(st.integers(1, min(flat, 40, math.floor(cap * mu[0] / (1.0 + 1e-6)))))
+        delta = draw(st.floats(1e-9, 1e-9 * mu[0], exclude_min=True, exclude_max=True))
+        r = (k + delta) / float(mu[0])
     elif kind == "root":
         top = int(np.count_nonzero(edges["H"] <= cap))  # w(x) <= H(ceil(x)) <= cap
         x = draw(st.integers(0, top - 1)) + draw(st.floats(0.05, 0.95))
@@ -512,18 +544,33 @@ class TestLevelBounds:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(scan_instances())
     def test_same_report_as_contiguous_scan(self, instance):
+        # the level-wise tests keep every equilibrium, root and interval of the
+        # contiguous scan, row for row; they add candidates only below its
+        # start, where it applies 1e-9 to a count and they apply it to time,
+        # and each equilibrium they add there is one by definition
         params, policy, mixed_range = instance
         rep = find_equilibria(params, policy, mixed_range)
         ref = contiguous_equilibria(params, policy, mixed_range)
+        start = contiguous_scan(params, policy).start
         assert [d.n0 for d in ref.diagnostics] == list(contiguous_scan(params, policy))
-        assert rep.pure_equilibria == ref.pure_equilibria
-        assert rep.mixed_points == ref.mixed_points
-        assert rep.mixed_intervals == ref.mixed_intervals
         rows = {d.n0: d for d in ref.diagnostics}
-        assert all(d == rows[d.n0] for d in rep.diagnostics)
+        assert all(d == rows[d.n0] for d in rep.diagnostics if d.n0 >= start)
+        assert all(rows[n0] in rep.diagnostics for n0 in ref.pure_equilibria)
         kept = [d.n0 for d in rep.diagnostics]
         assert kept == pure_candidates(params, policy).tolist()
         assert rep.candidate_range == (kept[0], kept[-1])
+        added = [n0 for n0 in kept if n0 < start]
+        pure_added = [n0 for n0 in rep.pure_equilibria if n0 < start]
+        assert rep.pure_equilibria == pure_added + ref.pure_equilibria
+        assert pure_added == best_response_equilibria(params, policy, levels=pure_added)
+        assert [x for x in rep.mixed_points if x > start] == ref.mixed_points
+        assert all(x in ref.mixed_points or x < start for x in rep.mixed_points)
+        assert [iv for iv in rep.mixed_intervals if iv[0] >= start] == ref.mixed_intervals
+        assert all(iv[1] <= start for iv in rep.mixed_intervals if iv not in ref.mixed_intervals)
+        if not added:
+            assert rep.pure_equilibria == ref.pure_equilibria
+            assert rep.mixed_points == ref.mixed_points
+            assert rep.mixed_intervals == ref.mixed_intervals
 
 
 class TestSweeps:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from threshq.delay import MAX_TABLE_CELLS
 from threshq.model import (
+    MAX_TABLE_CELLS,
     EconomicParams,
     InstanceError,
     JoinStrategy,
