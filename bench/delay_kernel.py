@@ -22,7 +22,9 @@ existed, run that checkout's own copy of this script.
   solves them and 23, the left end of (23, 24], and refines the roots.
 - sweep_mixed, find_equilibria.mixed_24_46: the case study at reward 9.1
   over 24..46, the benchmark's slowest queries: a sweep at step 0.05 and
-  the search with its mixed range.
+  the search with its mixed range. Under "counts",
+  find_equilibria.mixed_24_46.solves is the number of batched
+  marginal_delays calls that one such search makes.
 - find_equilibria.pure.slow_first_rate_3161: rates 0.5 then 1, lambda = 1,
   reward 3161, at the cell budget's edge: the loose bounds n0/M <= w(n0) <=
   n0/mu_1 scan 1,582 candidates (1580..3161) up to balk state 3161, the
@@ -43,6 +45,7 @@ import time
 
 import numpy as np
 
+from threshq import equilibrium
 from threshq.cli import main as cli_main
 from threshq.equilibrium import find_equilibria, sweep_mixed
 from threshq.delay import solve_delay_table
@@ -65,6 +68,21 @@ def seconds(fn, budget: float = 0.5) -> float:
             fn()
         runs.append((time.perf_counter() - start) / calls)
     return statistics.median(runs)
+
+
+def solves(fn) -> int:
+    """The marginal_delays calls that one fn() makes through threshq.equilibrium."""
+    real, calls = equilibrium.marginal_delays, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    equilibrium.marginal_delays = counted
+    try:
+        fn()
+    finally:
+        equilibrium.marginal_delays = real
+    return len(calls)
 
 
 def main() -> dict:
@@ -92,6 +110,8 @@ def main() -> dict:
     rows["sweep_mixed.24_46.s"] = seconds(lambda: sweep_mixed(near, CASE, 24.0, 46.0, 0.05))
     rows["find_equilibria.mixed_24_46.s"] = seconds(
         lambda: find_equilibria(near, CASE, (24.0, 46.0)))
+    counts = {"find_equilibria.mixed_24_46.solves": solves(
+        lambda: find_equilibria(near, CASE, (24.0, 46.0)))}
     edge = EconomicParams(1.0, 3161.0, 1.0)
     rows["find_equilibria.pure.slow_first_rate_3161.s"] = seconds(
         lambda: find_equilibria(edge, SLOW_FIRST))
@@ -107,7 +127,7 @@ def main() -> dict:
                 cli_main(argv)
         rows["cli.table1_case_study.s"] = seconds(table1)
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine(), "seconds": rows}
+            "machine": platform.machine(), "seconds": rows, "counts": counts}
 
 
 if __name__ == "__main__":

@@ -15,8 +15,11 @@ r_tilde mu_1 on an integer or within 1e-12 or 1e-10 of one.
 Prints each query whose exit code, stdout or stderr differ between the
 trees, as its instance and range, then per report key the two values
 (the diagnostics as the n0 rows only one tree has and the rows that
-differ), and last a line with the count of identical queries. It reports
-and gates nothing: the exit status is 0 whatever differs.
+differ), and last a line with the count of identical queries. A query whose
+reports differ only in the values of as many mixed_points gets one line
+instead: the largest |dx| between the two lists, and each tree's largest
+residual |w - r_tilde| at its own points, w by that tree's marginal_delays.
+It reports and gates nothing: the exit status is 0 whatever differs.
 """
 from __future__ import annotations
 
@@ -75,11 +78,26 @@ def run(cli, argv: list[str]) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def differences(a: tuple[int, str, str], b: tuple[int, str, str]) -> list[str]:
-    """One line per report key that differs between two runs' outputs."""
+def largest_residual(cli, path: str, points: list[float]) -> float:
+    """max |w - r_tilde| over the points, w by the tree whose cli is given."""
+    params, policy = cli.load_instance(path)
+    w = cli.delay_mod.marginal_delays(policy, points, params)
+    return float(np.max(np.abs(w - params.r_tilde)))
+
+
+def differences(a: tuple[int, str, str], b: tuple[int, str, str], clis, path: str) -> list[str]:
+    """One line per report key that differs between two runs' outputs; one line
+    in all when only the values of as many mixed points differ."""
     if a[0] != 0 or b[0] != 0:
         return [f"exit {a[0]} {a[2].strip()!r} -> exit {b[0]} {b[2].strip()!r}"]
     da, db = json.loads(a[1]), json.loads(b[1])
+    pa, pb = da["mixed_points"], db.get("mixed_points", [])
+    rest_a, rest_b = ({key: v for key, v in d.items() if key != "mixed_points"} for d in (da, db))
+    if rest_a == rest_b and 0 < len(pa) == len(pb):
+        dx = max(abs(x - y) for x, y in zip(pa, pb))
+        res = [largest_residual(cli, path, pts) for cli, pts in zip(clis, (pa, pb))]
+        return [f"mixed_points only: largest |dx| {dx:.3g}, "
+                f"largest |w - r_tilde| {res[0]:.3g} -> {res[1]:.3g}"]
     lines = [f"{key}: {da[key]} -> {db[key]}" for key in da
              if key != "diagnostics" and da[key] != db.get(key)]
     rows_a = {d["n0"]: d for d in da["diagnostics"]}
@@ -123,7 +141,7 @@ def main(argv=None) -> int:
                     print(f"instance {i} ({KINDS[i % len(KINDS)]}): {json.dumps(doc)}")
                     shown = True
                 print(f"  --mixed-range {spec}" if spec else "  no --mixed-range")
-                for line in differences(a, b):
+                for line in differences(a, b, clis, path):
                     print("    " + line)
     print(f"{same} of {total} queries identical")
     return 0

@@ -8,7 +8,7 @@ to k the marginal customer becomes the joiner at the balk state of pure
 threshold k, so w(k+) = w(k) + 1/mu_{k+1}. Pure threshold n0 is an
 equilibrium iff w(n0) <= r_tilde <= w(n0+), and the interval (k, k+1]
 holds a mixed root iff w(k+1) < r_tilde < w(k+), and is all equilibria iff
-both equal r_tilde.
+both equal r_tilde; on a bracket w - r_tilde is monotone and smooth.
 
 Level-wise delay bounds decide where w is solved at all. With balk state
 n0 the marginal customer waits for n0 departures; while j - 1 customers
@@ -134,8 +134,9 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     candidate. Both ends within TOL_EQ of r_tilde make a continuum interval,
     reported whole; a sign change brackets one root; a right end exactly at
     r_tilde is a root. The brackets are refined together, REFINE_POINTS
-    interior points each per batched solve, until each is at most TOL_ROOT_X
-    wide with an end within TOL_EQ of r_tilde, and that end is reported.
+    probes each per batched solve (even at first, then 16 even and 47 around an
+    inverse-interpolation estimate), until each is at most TOL_ROOT_X wide with
+    an end within TOL_EQ of r_tilde, and that end is reported.
     Roots within 1e-9 of an integer are pure thresholds and are dropped.
     """
     r = params.r_tilde
@@ -164,18 +165,37 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     bracket = ~flat & (f0 != 0.0) & (f1 != 0.0) & ((f0 < 0.0) != (f1 < 0.0))
     a, b, fa, fb = lo[bracket], hi[bracket], f0[bracket], f1[bracket]
     inner = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
-    live = np.ones(len(a), bool)
+    # later every 4th of these, e and e +- width 4^-j, j = 1..23, and those under 2 TOL_ROOT_X
+    # 64-fold closer to e: a bracket that stops is then under TOL_ROOT_X / 32 wide
+    steps = np.r_[-4.0 ** -np.arange(23, 0, -1), 0.0, 4.0 ** -np.arange(1, 24)]
+    est, live = None, np.ones(len(a), bool)  # e, the root's estimate
     while True:
         live &= (b - a > TOL_ROOT_X) | (np.minimum(np.abs(fa), np.abs(fb)) > TOL_EQ)
         if not live.any():
             break
-        xs = np.column_stack((a[live], a[live, None] + (b - a)[live, None] * inner, b[live]))
-        fs = np.column_stack((fa[live], marginal_delays(policy, xs[:, 1:-1].ravel(), params)
+        width = (b - a)[live, None]
+        probes = a[live, None] + width * (inner if est is None else inner[::4])
+        if est is not None:
+            around = width * np.where(np.abs(steps) * width < 2 * TOL_ROOT_X, steps / 64, steps)
+            probes = np.sort(np.column_stack((probes, est[live, None] + around)))
+        # strictly inside (a, b): a probe on a = k would solve w(k), not w(k+)
+        probes = np.clip(probes, np.nextafter(a, b)[live, None], np.nextafter(b, a)[live, None])
+        xs = np.column_stack((a[live], probes, b[live]))
+        fs = np.column_stack((fa[live], marginal_delays(policy, probes.ravel(), params)
                               .reshape(-1, REFINE_POINTS) - r, fb[live]))
         # the first point whose sign differs from the left end's (b at the latest)
         i = 1 + ((fs[:, 1:] < 0.0) != (fs[:, :1] < 0.0)).argmax(axis=1)
         rows = np.arange(len(i))
         new = xs[rows, i - 1], xs[rows, i], fs[rows, i - 1], fs[rows, i]
+        # e: Neville's inverse interpolation through 8 points, later 2 (close nodes make noise)
+        n = 8 if est is None else 2
+        cols = rows[:, None], np.clip(i - n // 2, 0, REFINE_POINTS + 2 - n)[:, None] + np.arange(n)
+        xe, fe = xs[cols], fs[cols]
+        with np.errstate(all="ignore"):
+            for m in range(1, n):
+                xe = (fe[:, :-m] * xe[:, 1:] - fe[:, m:] * xe[:, :-1]) / (fe[:, :-m] - fe[:, m:])
+        est = np.zeros(len(a)) if est is None else est
+        est[live] = np.fmin(np.fmax(xe[:, 0], new[0]), new[1])  # in the bracket; NaN: left end
         moved = (new[0] != a[live]) | (new[1] != b[live])  # adjacent floats stay put
         a[live], b[live], fa[live], fb[live] = new
         live[live] = moved

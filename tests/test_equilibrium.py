@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from threshq.equilibrium import (
     TOL_EQ,
+    TOL_ROOT_X,
     CandidateDiagnostic,
     find_equilibria,
     pure_candidates,
@@ -413,14 +414,39 @@ class TestFindMixedEquilibria:
         # among the candidates would miss it
         p = params_R(9.5)
         assert 23 not in pure_candidates(p, self.POL) and 24 in pure_candidates(p, self.POL)
-        assert mixed_equilibria(p, self.POL, 1e-6, 52.5) == ([23.746044517640257], [(18.0, 19.0)])
+        assert mixed_equilibria(p, self.POL, 1e-6, 52.5) == ([23.746044517643664], [(18.0, 19.0)])
+        assert abs(marginal_delays(self.POL, [23.746044517643664], p)[0] - 9.5) <= 1e-13
 
     def test_case_study_r815_seven_roots(self):
         pts, ivals = mixed_equilibria(params_R(8.15), self.POL, 1e-6, 45.75)
-        assert pts == [25.995224324200535, 26.680000394335366, 27.500147235710756,
-                       28.46519272630394, 29.539208917383803, 30.691680417905445,
-                       31.915513658052078]
+        assert pts == [25.995224324202738, 26.680000394332804, 27.50014723570776,
+                       28.4651927263091, 29.53920891737999, 30.69168041791053,
+                       31.915513658056675]
         assert ivals == []
+        assert np.all(np.abs(marginal_delays(self.POL, pts, params_R(8.15)) - 8.15) <= 1e-13)
+
+    def test_no_probe_on_an_integer(self):
+        # the roots lie just right of 2 and in (3, 4]; a refinement probe
+        # clipped onto x = 2 would solve w(2), not w(2+), and fake a sign change
+        pol = ServiceRatePolicy((1.0822742817549418, 1.253534553594246, 1.6602950320409042,
+                                 3.1281157905954955), 4.5)
+        p = params_R(2.273884073518953, lam=0.6999065376461091)
+        pts, _ = mixed_equilibria(p, pol, 0.5, 10.5)
+        assert len(pts) == 2
+        assert np.allclose(pts, [2.0029140608530724, 3.708330296241911], rtol=0.0, atol=1e-10)
+        assert np.all(np.abs(marginal_delays(pol, pts, p) - p.r_tilde) <= TOL_EQ)
+
+    def test_stopping_bracket_is_tight(self):
+        # w falls steeply just right of 1 (slope about -4.06 at the root 1.15620464942), and the
+        # 8-point estimate from the even grid misses it by about 4e-11: a bracket that wide
+        # would stop with a residual near 1e-10. Probes within 2 TOL_ROOT_X of the estimate sit
+        # 64-fold closer, so a bracket that stops is under TOL_ROOT_X / 32 wide
+        pol = ServiceRatePolicy((0.3, 2.00001, 2.2144655549857117, 2.554974269832146,
+                                 3.0740917701264125), 4.0)
+        p = params_R(1.959963984540054, lam=3.7479425668990136)
+        pts, _ = mixed_equilibria(p, pol, 0.8048510429478173, 4.229801154452088)
+        assert len(pts) == 2 and abs(pts[0] - 1.15620464942) < 1e-11
+        assert np.all(np.abs(marginal_delays(pol, pts, p) - p.r_tilde) <= 4.1 * TOL_ROOT_X / 32)
 
     def test_roots_are_noninteger(self):
         pts, _ = mixed_equilibria(params_R(8.5), self.POL, 24.0, 40.0)
