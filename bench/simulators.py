@@ -18,11 +18,8 @@ delay_kernel.seconds).
   workload (one call per repeat).
 - simulate_sojourn.general_n0_101: a general policy whose rates rise
   linearly from 1 to 4 over the first 90 states, then stay at 4, with
-  lambda = 3, under x = 100.5 (balk state 101, so the packed state code
-  is 7 bits wide), n = 50, 2 * 10^4 replications.
-
-"simulate_sojourn_workers" is the number of threads simulate_sojourn runs a
-step's groups of blocks on here: the CPUs this process may use, at most 4.
+  lambda = 3, under x = 100.5 (balk state 101), n = 50, 2 * 10^4
+  replications.
 """
 from __future__ import annotations
 
@@ -32,7 +29,6 @@ import platform
 import numpy as np
 
 from delay_kernel import CASE, seconds
-from threshq import sim
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
@@ -57,8 +53,7 @@ def main() -> dict:
         "simulate_sojourn.general_n0_101.s": seconds(lambda: simulate_sojourn(general, 50)),
     }
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "simulate_sojourn_workers": sim._workers(), "machine": platform.machine(),
-            "seconds": rows}
+            "machine": platform.machine(), "seconds": rows}
 
 
 if __name__ == "__main__":

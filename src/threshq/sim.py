@@ -1,31 +1,25 @@
 """Monte Carlo validation: sojourn-time estimation and the two-system coupling.
 
 Each call draws from one counter-based (Philox) stream keyed by (seed mod
-2**64, stream number), so identical configs give bit-identical output. Both
-simulators advance their live replications in lock-step, one vectorized event
-per replication per step, and keep arrays of live replications only, filtered
-after a step where one finished. ``simulate_sojourn`` estimates W(n) by the
-conditional expectation of the sojourn given the jump chain, so it draws only
-join coins and samples no holding times; a replication is one int code
-packing the customers ahead and present. Its replications sit in blocks of
-2**15, and each step runs the live blocks in up to four contiguous groups at
-once, one per CPU: the first on the calling thread, the rest on a thread
-pool that lives for the call. Philox is counter-based, so each group's generator
-starts at the group's exact place in the call's one stream: every
-replication gets the draw it would get from one generator, and the output
-does not depend on the number of CPUs. In the coupling, the two systems
-read the same draw for each arrival and join coin, and the same service
-requirement for each initial customer; only those are ever served, so each
-system tracks just the one in service, in 1-D arrays of its own, events are
-picked elementwise, and a finished replication's departures go to its own row.
+2**64, stream number), so identical configs give bit-identical output.
+``simulate_sojourn`` estimates W(n) by the conditional expectation of the
+sojourn given the jump chain, so it draws only join coins and samples no
+holding times. It runs as a population flow: a replication's state after t
+steps is its number d of departures, so a batch of replications is one row
+of counts by d, and each step moves a binomial share of every count at
+the cost of the counts in use, not of the replications; the half-width
+comes from the means of _BATCHES batches. The coupling advances its live replications in
+lock-step, one vectorized event per replication per step, and keeps arrays
+of live replications only, filtered after a step where one finished. The
+two systems read the same draw for each arrival and join coin, and the same
+service requirement for each initial customer; only those are ever served,
+so each system tracks just the one in service, in 1-D arrays of its own,
+events are picked elementwise, and a finished replication's departures go to
+its own row.
 """
 from __future__ import annotations
 
-import contextlib
-import functools
-import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +31,8 @@ _STREAM_COUPLING = 1
 # a coupling block has _BLOCK_CELLS // (n0 + 1) rows of n + 2 <= n0 + 1 requirements
 # (n + 1 drawn and an inf), so its state stays a few MB whatever the coupling's size
 _BLOCK_CELLS = 1 << 18
-# simulate_sojourn's replications per block: a block's temporaries stay small
-_SOJOURN_BLOCK = 1 << 15
+# simulate_sojourn's batches of replications; its half-width has B - 1 = 63 degrees of freedom
+_BATCHES = 64
 
 
 @dataclass(frozen=True)
@@ -88,21 +82,10 @@ class CouplingOutcome:
         return float(max(np.max(self.t_a - self.t_b), 0.0))
 
 
-def _generator(seed: int, stream: int, pos: int = 0) -> np.random.Generator:
-    """The generator keyed by (seed mod 2**64, stream) after ``pos`` uniforms:
-    Philox makes four raw words per counter value, the first four at counter
-    1, and a uniform takes one word."""
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator keyed by (seed mod 2**64, stream)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)  # the seed mod 2**64
-    bits = np.random.Philox(key=key, counter=pos // 4)
-    bits.random_raw(pos % 4)
-    return np.random.Generator(bits)
-
-
-def _workers() -> int:
-    """Threads for one simulate_sojourn step: the CPUs this process may use, at most 4."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), 4)
-    return min(os.cpu_count() or 1, 4)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
@@ -115,16 +98,27 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     present) with arrival rate lambda * p_m and service rate mu_m at m present,
     exactly the first-step system the analytic solver uses. Given the path, the
     holding times are independent with means 1 / rate, so each step adds
-    1 / rate instead of a draw: the sojourn's conditional expectation, unbiased
-    for W(n) and of no larger variance (Rao-Blackwell). A replication's state
-    is one code ``ahead << shift | (m - 1)``, m - 1 <= n0 < 2**shift: an
-    arrival adds 1, a departure subtracts 2**shift + 1, and the code turns
-    negative once the tagged customer has left. Replications sit in blocks of
-    _SOJOURN_BLOCK, and each step runs the live blocks in up to _workers()
-    contiguous groups; a group draws from the stream after every draw of
-    earlier steps and groups, and sojourns are kept in the order they finish,
-    step by step and in replication order, so the output does not depend on
-    the number of CPUs.
+    1 / rate instead of a draw: the sojourn's conditional expectation Y,
+    unbiased for W(n) and of no larger variance (Rao-Blackwell).
+
+    After t steps with d departures, a replication has m = n + 1 + t - 2d
+    present and n - d ahead, so d alone is its state. The replications go in
+    B = min(_BATCHES, reps) batches whose sizes differ by at most 1, each one
+    row of counts by d. At each step a batch's count at d adds count / rate(m)
+    to the batch's sum of Y, binomial(count, join(m)) of them stay at d (their
+    next event an arrival, join(m) = lambda p_m / rate(m)), and the rest move
+    to d + 1; those past d = n have left. The replications at one d share one
+    state and each takes its next event by an independent coin, so the counts
+    have exactly the law of r independent replications' and the batch's sum
+    is the sum of their Y: each batch mean is distributed as a mean of r
+    independent sojourns. A step works on the columns from the first to the
+    last in use, so it costs B times those columns, not the replications.
+
+    The mean is the sum over batches over reps, and the half-width is taken
+    from the batch sums by batch means, with B - 1 degrees of freedom: below
+    _BATCHES replications there is one per batch, and it is the per-replication
+    sample variance. Sums are taken with math.fsum, so they do not depend on
+    the order of their terms.
     """
     n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
@@ -132,59 +126,33 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     reps = config.replications
     lp = config.params.arrival_rate * np.append(config.strategy.probs, 0.0)[1:]  # [m - 1] at m
     rate = lp + config.policy.rates(n0 + 1)
-    shift = n0.bit_length()
-    blocks = [(np.zeros(k), np.full(k, n << shift | n))  # n ahead, n + 1 present
-              for k in (min(_SOJOURN_BLOCK, reps - s) for s in range(0, reps, _SOJOURN_BLOCK))]
-    sojourn, done, pos = np.empty(reps), 0, 0
+    hold, join = 1.0 / rate, lp / rate
+    b = min(_BATCHES, reps)
+    size = np.full(b, reps // b, dtype=np.int64)
+    size[:reps % b] += 1
+    count = np.zeros((b, n + 1), dtype=np.int64)  # [batch, d]
+    count[:, 0] = size  # n ahead, n + 1 present
+    acc = np.zeros((b, n + 1))  # each batch's sum of Y, by d
     rng = _generator(config.seed, _STREAM_SOJOURN)
-    step = functools.partial(_step, hold=1.0 / rate, join=lp / rate, mask=(1 << shift) - 1)
-    workers = min(_workers(), len(blocks))
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # here, not on every CLI start
-            pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
-        while blocks:
-            cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-            groups = [blocks[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-            starts = list(itertools.accumulate((sum(len(t) for t, _ in g) for g in groups),
-                                               initial=pos))
-            # the last group's generator ends where this step's draws end, so the
-            # next step's first group goes on with it
-            rngs = [rng] + [_generator(config.seed, _STREAM_SOJOURN, p) for p in starts[1:-1]]
-            rest = [pool.submit(step, g, r) for g, r in zip(groups[1:], rngs[1:])]
-            steps = [step(groups[0], rng)] + [f.result() for f in rest]  # the first on this thread
-            rng = rngs[-1]
-            blocks = []
-            for finished, live in steps:
-                for t in finished:
-                    sojourn[done:done + len(t)] = t
-                    done += len(t)
-                blocks += live
-            pos = starts[-1]
-    mean = float(np.mean(sojourn))
-    sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
-    half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")
+    lo, hi, t = 0, 1, 0  # columns lo..hi - 1, from the first to the last in use
+    while True:
+        state = n + t - 2 * np.arange(lo, hi)  # m - 1: n0 >= m - 1 >= 0 from end to end
+        live = count[:, lo:hi]
+        acc[:, lo:hi] += live * hold[state]
+        stay = rng.binomial(live, join[state])
+        go = live - stay
+        live[...] = stay
+        count[:, lo + 1:hi + 1] += go[:, :n - lo]  # those past d = n have left
+        used = np.flatnonzero(count[:, lo:hi + 1].any(axis=0))
+        if not len(used):
+            break
+        lo, hi, t = lo + used[0], lo + used[-1] + 1, t + 1
+    total = np.array([math.fsum(row) for row in acc])
+    mean = math.fsum(total) / reps
+    dev = total - size * mean
+    half = (1.959963984540054 * math.sqrt(math.fsum(dev * dev) * b / (b - 1)) / reps
+            if b > 1 else float("inf"))
     return SojournEstimate(mean, half, reps)
-
-
-def _step(blocks: list, rng: np.random.Generator, hold: np.ndarray, join: np.ndarray,
-          mask: int) -> tuple[list, list]:
-    """Advance each (t, code) block of simulate_sojourn one step with the next
-    draws of ``rng``; returns the sojourns of replications that finished,
-    block by block, and the blocks still live."""
-    finished, kept = [], []
-    for t, code in blocks:
-        state = code & mask  # m - 1 with m present
-        t += hold[state]
-        code += (rng.random(len(code)) < join[state]) * (mask + 3) - (mask + 2)
-        live = code >= 0
-        k = np.count_nonzero(live)
-        if k < len(code):  # compacted within the block's own arrays: no long-lived array moves
-            finished.append(t[~live])
-            t[:k], code[:k] = t[live], code[live]
-        if k:
-            kept.append((t[:k], code[:k]))
-    return finished, kept
 
 
 def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
@@ -252,7 +220,6 @@ def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: n
             left[s][i] = req[j, di + 1 - s]
         t, i = now, np.flatnonzero(~(events[0] | events[1]))
         coin = rng.random(len(i))
-        rng.exponential(1.0, len(i))  # a joiner is never served; drawn so later draws keep their place
         nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
         for z in size:  # a finished system's size only scales its infinite requirement
             z[i] += coin < probs[z[i]]

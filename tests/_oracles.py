@@ -20,7 +20,11 @@ stores every customer's requirement, joiners included, in an n0-wide ring
 per system and replaces ``threshq.sim._couple_block`` when a test patches
 it in; the masked sojourn loop keeps every replication in full-size arrays
 behind an alive mask, re-indexes them all at every step, and adds each
-step's mean holding time from rates it recomputes from the state. The
+step's mean holding time from rates it recomputes from the state, one join
+coin per replication: the estimator in law, replication by replication; the
+loop flow moves the library's batch counts one scalar binomial at a time,
+and the exact sojourn moments solve the first-step recursion for the mean
+and second moment of the summed holding means. The
 writer oracles are the CLI's earlier writers, the delay CSV built as one
 string by an f-string per entry and the report through ``json.dumps`` with
 ``indent=2``, and a CSV whose cells are formatted by their exact type.
@@ -33,7 +37,7 @@ from unittest import mock
 
 import numpy as np
 
-from threshq import equilibrium
+from threshq import equilibrium, sim
 from threshq.delay import marginal_delays
 from threshq.model import strategy_from_x
 from threshq.sim import _STREAM_SOJOURN, SimConfig, SojournEstimate, _generator
@@ -305,7 +309,9 @@ def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, m
     Labels follow from FCFS order: the d-th departure from system s is label
     d - s. Each system keeps a ring buffer of remaining requirements, width
     n0 since at most n0 are ever present, with its head at slot
-    (departures mod n0). Finished replications are dropped after each step.
+    (departures mod n0). A joiner, never served, gets an inf requirement, so
+    one ever served would leave at an inf time. Finished replications are
+    dropped after each step.
     """
     n0 = len(mu)
     k = len(dep[0])
@@ -338,12 +344,11 @@ def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, m
             dep[s][rows[i], d[i, s] - 1] = t[i]
         i = np.nonzero(ev == 2)[0]
         coin = rng.random(len(i))
-        req = rng.exponential(1.0, len(i))
         nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
         join = ~done[i] & (coin[:, None] < probs[size[i]])
         j, s = np.nonzero(join)
         r = i[j]
-        rem[r, s, (d[r, s] + size[r, s]) % n0] = req[j]
+        rem[r, s, (d[r, s] + size[r, s]) % n0] = np.inf
         size[r, s] += 1
         keep = np.any(d != goal, axis=1)
         if not keep.all():
@@ -351,13 +356,14 @@ def ring_couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, m
 
 
 def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
-    """``threshq.sim.simulate_sojourn`` as a mask over all replications: each
-    step gathers the live ones with ``np.nonzero(alive)``, recomputes their
-    rates from the state, adds the mean holding time 1 / rate, draws one join
-    coin each, and scatters the results back into full-size arrays. The mean
-    and sd are taken over the sojourns ordered by finishing step, then by
-    replication, the library's order; same draws in the same order, so it
-    agrees with the library bit for bit."""
+    """W(n) estimated replication by replication, as a mask over all of them:
+    each step gathers the live ones with ``np.nonzero(alive)``, recomputes
+    their rates from the state, adds the mean holding time 1 / rate, draws one
+    join coin each, and scatters the results back into full-size arrays. The
+    mean and the sample sd are taken over the sojourns, and the half-width is
+    1.96 sd / sqrt(reps). This estimator has the law of
+    ``threshq.sim.simulate_sojourn`` below _BATCHES replications and the same
+    mean in law above, from other draws."""
     n0 = config.strategy.balk_state
     if not (0 <= n <= n0):
         raise ValueError(f"arrival state {n} outside [0, {n0}]")
@@ -393,6 +399,71 @@ def masked_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     sd = float(np.std(sojourn, ddof=1)) if reps > 1 else float("nan")
     half = 1.959963984540054 * sd / math.sqrt(reps) if reps > 1 else float("inf")
     return SojournEstimate(mean, half, reps)
+
+
+def loop_flow_simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
+    """``threshq.sim.simulate_sojourn`` as Python loops: the same batches,
+    each a dict of its nonzero counts by departures d (numpy takes no draw
+    for a zero count), and at each step one scalar ``rng.binomial(count,
+    join)`` per batch and d in that order, with the rates recomputed from
+    m = n + 1 + t - 2d. Same draws in the same order and math.fsum for every
+    sum, so it agrees with the library bit for bit."""
+    n0 = config.strategy.balk_state
+    if not (0 <= n <= n0):
+        raise ValueError(f"arrival state {n} outside [0, {n0}]")
+    reps = config.replications
+    lam = config.params.arrival_rate
+    p = list(config.strategy.probs) + [0.0]
+    mu = config.policy.rates(n0 + 1).tolist()
+    b = min(sim._BATCHES, reps)
+    sizes = [reps // b + (i < reps % b) for i in range(b)]
+    rng = _generator(config.seed, _STREAM_SOJOURN)
+    count = [{0: s} for s in sizes]  # a batch's nonzero counts by d
+    acc = [[0.0] * (n + 1) for _ in range(b)]
+    t = 0
+    while any(count):
+        moved = [{} for _ in range(b)]
+        for i in range(b):
+            for d in sorted(count[i]):
+                c, m = count[i][d], n + 1 + t - 2 * d
+                lp = lam * p[m]
+                rate = lp + mu[m - 1]
+                acc[i][d] += c * (1.0 / rate)
+                stay = int(rng.binomial(int(c), float(lp / rate)))
+                for e, k in ((d, stay), (d + 1, c - stay)):
+                    if k and e <= n:
+                        moved[i][e] = moved[i].get(e, 0) + k
+        count, t = moved, t + 1
+    total = [math.fsum(row) for row in acc]
+    mean = math.fsum(total) / reps
+    square = math.fsum((y - s * mean) * (y - s * mean) for y, s in zip(total, sizes))
+    half = 1.959963984540054 * math.sqrt(square * b / (b - 1)) / reps if b > 1 else float("inf")
+    return SojournEstimate(mean, half, reps)
+
+
+def exact_sojourn_moments(config: SimConfig, n: int) -> tuple[float, float]:
+    """E[Y] and E[Y^2] for Y, the sum of the mean holding times 1 / rate along
+    the tagged customer's jump chain from n ahead and n + 1 present, by the
+    first-step recursion E[Y] = h + E[Y'] and E[Y^2] = h^2 + 2h E[Y'] + E[Y'^2],
+    Y' the rest of the path after a step from a state with holding mean h:
+    an arrival (probability lambda p_m / rate) keeps those ahead and adds one
+    present, a departure leaves one ahead fewer, or ends the path from 0
+    ahead. States with a ahead are solved for a = 0, 1, ..., each m downward
+    from n0 + 1."""
+    n0 = config.strategy.balk_state
+    lam = config.params.arrival_rate
+    p = list(config.strategy.probs) + [0.0]
+    mu = config.policy.rates(n0 + 1).tolist()
+    first, second = {}, {}
+    for a in range(n + 1):
+        for m in range(n0 + 1, a, -1):
+            lp = lam * p[m]
+            h, q = 1.0 / (lp + mu[m - 1]), lp / (lp + mu[m - 1])
+            up = (first[a, m + 1], second[a, m + 1]) if q > 0.0 else (0.0, 0.0)
+            down = (first[a - 1, m - 1], second[a - 1, m - 1]) if a else (0.0, 0.0)
+            y1, y2 = (q * u + (1.0 - q) * v for u, v in zip(up, down))
+            first[a, m], second[a, m] = h + y1, h * h + 2.0 * h * y1 + y2
+    return first[n, n + 1], second[n, n + 1]
 
 
 def loop_delay_csv(table) -> str:

@@ -427,7 +427,7 @@ class TestParserReuse:
         assert done.stdout == "0\n"
 
     def test_import_leaves_out_concurrent_futures(self):
-        # simulate imports its thread pool when it first needs one
+        # no command runs a thread pool, and a CLI start imports none
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         probe = "import sys, threshq.cli; print('concurrent.futures' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

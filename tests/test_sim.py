@@ -1,6 +1,6 @@
 import dataclasses
 import itertools
-import threading
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +11,8 @@ from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strat
 from threshq import sim
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
 
-from _oracles import masked_simulate_sojourn, ring_couple_block
+from _oracles import (exact_sojourn_moments, loop_flow_simulate_sojourn, masked_simulate_sojourn,
+                      ring_couple_block)
 from conftest import random_policy
 
 
@@ -86,58 +87,31 @@ class TestSimulateSojourn:
             params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
             yield SimConfig(int(rng.integers(2**63)), reps, params, policy, strategy), n
 
-    def test_matches_masked_oracle(self):
-        # every combination of the grid twice
+    @staticmethod
+    def agree_in_law(a, b):
+        # two estimates of one mean within their combined half-widths, and a
+        # rounding floor where a path has no random branch (both widths 0)
+        return abs(a.mean - b.mean) <= a.half_width_95 + b.half_width_95 + 1e-12 * abs(b.mean)
+
+    def test_matches_loop_flow_oracle(self):
+        # every combination of the grid, with unequal batches (65, 3000), one
+        # replication per batch (1, 2, 63) and equal batches of 1 (64)
         rng = np.random.default_rng(2026)
-        for _ in range(2):
-            for cfg, n in self.oracle_grid(rng):
-                assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
+        for cfg, n in self.oracle_grid(rng, (1, 2, 63, 64, 65, 3000)):
+            assert simulate_sojourn(cfg, n) == loop_flow_simulate_sojourn(cfg, n)
 
-    @pytest.mark.parametrize("block, replications", [(1, (1, 2, 40)), (7, (1, 2, 3000)),
-                                                     (64, (1, 2, 3000))],
-                             ids=["block_1", "block_7", "block_64"])
-    def test_groups_of_blocks_match_masked_oracle(self, monkeypatch, block, replications):
-        # replications in blocks of 1, 7 or 64, each step's live blocks in 1,
-        # 2 or 3 groups, each group drawing at its own offset in the stream;
-        # about half the seeds are moved past 2**63. (3000 replications in
-        # blocks of one would take seconds, so blocks of one run 40.)
-        monkeypatch.setattr(sim, "_SOJOURN_BLOCK", block)
-        rng, pick = np.random.default_rng(block), np.random.default_rng(block + 1)
-        for cfg, n in self.oracle_grid(rng, replications):
-            workers = int(pick.integers(1, 4))
-            monkeypatch.setattr(sim, "_workers", lambda: workers)
-            cfg = dataclasses.replace(cfg, seed=cfg.seed + int(pick.integers(2)) * 2**63)
-            assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
-
-    @pytest.mark.parametrize("seed, stream", [(5, 0), (2**63 + 9, 1), (-1, 0)])
-    def test_generator_at_an_offset_continues_the_stream(self, seed, stream):
-        # Philox makes four raw words per counter value: pin the counter and
-        # discard arithmetic that places a group's generator in the stream
-        whole = sim._generator(seed % 2**64, stream).random(1000)
-        for p in (0, 1, 2, 3, 4, 5, 8, 13, 997):
-            at = sim._generator(seed, stream, p).random(3)
-            assert at.tolist() == whole[p:p + 3].tolist()
-
-    def test_threads_end_with_the_call(self, monkeypatch):
-        monkeypatch.setattr(sim, "_SOJOURN_BLOCK", 64)
-        monkeypatch.setattr(sim, "_workers", lambda: 3)
-        threads = set()
-        step = sim._step
-
-        def record(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "_step", record)
-        before = threading.active_count()
-        simulate_sojourn(config(seed=4, reps=1000), 2)
-        assert len(threads) > 1  # the steps ran on pool threads
-        assert threading.active_count() == before
+    def test_matches_masked_oracle(self):
+        # the per-replication estimator in law, every combination of the grid
+        rng = np.random.default_rng(2027)
+        for cfg, n in self.oracle_grid(rng, (3000,)):
+            assert self.agree_in_law(simulate_sojourn(cfg, n), masked_simulate_sojourn(cfg, n))
 
     @pytest.mark.parametrize("n0", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 200])
     def test_matches_masked_oracle_where_code_width_steps(self, n0):
-        # the packed code's shift is n0.bit_length(): check both sides of each
-        # step, at the first arrival state, the last joining one and the balk state
+        # balk states on both sides of powers of two, at the first arrival
+        # state, the last joining one and the balk state, 65 replications (one
+        # batch of 2): the loop flow bit for bit, the per-replication estimator
+        # in law
         rng = np.random.default_rng(n0)
         for two_rate, mixed, n in itertools.product((False, True), (False, True),
                                                     sorted({0, n0 - 1, n0})):
@@ -149,9 +123,33 @@ class TestSimulateSojourn:
             else:
                 policy = random_policy(rng, max_prefix=n0 + 1)
             params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
-            cfg = SimConfig(int(rng.integers(2**63)), 40, params, policy,
+            cfg = SimConfig(int(rng.integers(2**63)), 65, params, policy,
                             strategy_from_x(n0 - frac))
-            assert simulate_sojourn(cfg, n) == masked_simulate_sojourn(cfg, n)
+            est = simulate_sojourn(cfg, n)
+            assert est == loop_flow_simulate_sojourn(cfg, n)
+            assert self.agree_in_law(est, masked_simulate_sojourn(cfg, n))
+
+    @pytest.mark.parametrize("reps", [40, 1000])
+    def test_half_width_covers_the_exact_mean(self, reps):
+        # 200 seeds against the exact mean and sd of the summed holding means:
+        # one replication per batch at 40, unequal batches at 1000
+        cfg = SimConfig(0, reps, EconomicParams(3.0, 8.5, 1.0),
+                        ServiceRatePolicy.two_rate(8, 2.0, 5.0), strategy_from_x(10.3))
+        first, second = exact_sojourn_moments(cfg, 5)
+        sd = math.sqrt(second - first * first)
+        ests = [simulate_sojourn(dataclasses.replace(cfg, seed=s), 5) for s in range(200)]
+        covered = sum(abs(e.mean - first) <= e.half_width_95 for e in ests) / len(ests)
+        assert 0.90 <= covered <= 0.99
+        width = sum(e.half_width_95 for e in ests) / len(ests)
+        assert abs(width / (1.959963984540054 * sd / math.sqrt(reps)) - 1.0) <= 0.15
+
+    def test_exact_moments_give_the_delay(self):
+        cfg = SimConfig(0, 1, EconomicParams(3.0, 8.5, 1.0),
+                        ServiceRatePolicy.two_rate(8, 2.0, 5.0), strategy_from_x(10.3))
+        table = solve_delay_table(cfg.policy, cfg.strategy, cfg.params)
+        first, second = exact_sojourn_moments(cfg, 5)
+        assert first == pytest.approx(arrival_delay(table, cfg.policy, 5), rel=1e-13)
+        assert second > first * first
 
     def test_seeds_past_2_63_differ(self):
         a = simulate_sojourn(config(seed=2**63), 2)
