@@ -9,10 +9,17 @@ writing is timed.
 - delay_csv.n0_266: the case-study policy (T = 23, rates 2 and 5,
   lambda = 3) under the pure threshold 266, its delay table (35,511 rows,
   about 0.9 MB) written to a file as `delay --x 266 --out` writes it.
+- arrival_csv.n0_266: the same table's arrival delays W(n), n = 0..266,
+  written as `delay --x 266 --out` writes arrival_delay.csv.
 - report.mixed_24_46: the JSON text of the case-study report at reward 9.1
-  with the mixed range 24:46, the query of the benchmark's solver tail.
+  with the mixed range 24:46, the shape of the solver workload's
+  `equilibria --mixed-range` queries.
 - sweep_csv.pure_n0_1_140: the case study's `sweep --kind pure_n0
   --range 1:140` rows written to a file as its --out writes them.
+- sweep_csv.mixed_24_50: the case study's `sweep --kind mixed_x --range
+  24:50:0.05` at reward 9.1 (521 rows) written the same way: the shape of
+  the solver workload's slowest queries, whose latency sets its
+  query_tail_s.
 
 Given src/ directories, the script imports each tree's threshq in turn into
 this one process and runs 7 rounds, each timing every tree, the first tree
@@ -61,7 +68,9 @@ def writers(cli, tmp: str) -> dict:
     params = model.EconomicParams(3.0, 9.1, 1.0)
     table = cli.delay_mod.solve_delay_table(case, model.strategy_from_x(266), params)
     report = eq.find_equilibria(params, case, (24.0, 46.0))
+    arrival = [(n, cli.delay_mod.arrival_delay(table, case, n)) for n in range(table.n0 + 1)]
     rows = eq.sweep_mixed(params, case, 1.0, 140.0, 1.0)
+    mixed = eq.sweep_mixed(params, case, 24.0, 50.0, 0.05)
     os.makedirs(tmp, exist_ok=True)
     path = os.path.join(tmp, "delay_table.csv")
 
@@ -78,9 +87,13 @@ def writers(cli, tmp: str) -> dict:
         return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
     return {"delay_csv.n0_266.s": delay_csv,
+            "arrival_csv.n0_266.s": lambda: cli._write(
+                tmp, "arrival_delay.csv", cli._csv(("n", "W"), arrival)),
             "report.mixed_24_46.s": report_text,
             "sweep_csv.pure_n0_1_140.s": lambda: cli._write(
-                tmp, "sweep_pure_n0.csv", cli._csv(("n0", "W", "equilibrium_hit"), rows))}
+                tmp, "sweep_pure_n0.csv", cli._csv(("n0", "W", "equilibrium_hit"), rows)),
+            "sweep_csv.mixed_24_50.s": lambda: cli._write(
+                tmp, "sweep_mixed_x.csv", cli._csv(("x", "W", "equilibrium_hit"), mixed))}
 
 
 def main(trees: list[str]) -> dict:

@@ -8,16 +8,20 @@ leaves no state in it. Importing this module builds nothing.
 
 Output goes to stdout or, with --out DIR, to files in DIR; an --out that
 cannot be written is malformed input. The delay table streams to its target
-row by row, so a run's memory follows the table and not its text. The
-equilibria report is written from fixed templates (``_json_report``), the
-one owner of its JSON layout; its bytes are those json.dumps(indent=2) writes
-for the same keys and values, which the oracle test in tests/test_writers.py pins.
+row by row, so a run's memory follows the table and not its text. The other
+CSVs go through ``_csv``: each run of rows with one tuple of cell types is
+formatted by one % template per block of _BLOCK_ROWS rows, so a run's memory
+holds one block's text. The equilibria report is written from fixed templates
+(``_json_report``), the one owner of its JSON layout; its bytes are those
+json.dumps(indent=2) writes for the same keys and values. Oracle tests in
+tests/test_writers.py pin the bytes of both.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import re
@@ -34,19 +38,35 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 
-def _cell(v) -> str:
-    """One output value: text as given, a flag as 0/1, an int in full, a real
-    to 17 significant digits."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return str(int(v))
-    return str(v) if isinstance(v, int) else f"{v:.17g}"
+# rows per % format of one CSV run: a block's text is held, never the file's
+_BLOCK_ROWS = 256
+# the % conversion of a cell by its exact type; any other type is a real, "%.17g"
+_SPECS = {str: "%s", bool: "%d", int: "%d"}
+
+
+def _template(kinds) -> str:
+    """The % template of one CSV line whose cells have the types ``kinds``: text
+    as given, a flag as 0/1, an int in full, a real to 17 significant digits."""
+    return ",".join([_SPECS.get(kind, "%.17g") for kind in kinds]) + "\n"
 
 
 def _csv(header, rows):
-    """CSV lines: one header line of names, then one line per row."""
-    return (",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    """CSV text chunks: one header line of names, then the rows, each run of rows
+    with one tuple of cell types formatted by a single % over at most _BLOCK_ROWS
+    rows. A block whose rows all share the first row's types (every CLI table) is
+    checked with two list comparisons instead of a type tuple per row."""
+    header = tuple(header)
+    yield _template(map(type, header)) % header
+    rows = map(tuple, rows)
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        kinds, n = tuple(map(type, block[0])), len(block)
+        cells = tuple(itertools.chain.from_iterable(block))
+        if list(map(type, cells)) == [*kinds] * n and list(map(len, block)) == [len(kinds)] * n:
+            yield _template(kinds) * n % cells
+            continue
+        for kinds, run in itertools.groupby(block, lambda row: tuple(map(type, row))):
+            run = list(run)
+            yield _template(kinds) * len(run) % tuple(itertools.chain.from_iterable(run))
 
 
 def _parse_range(spec: str) -> tuple[float, float, float | None]:
@@ -106,7 +126,8 @@ def _report(outdir: str | None, name: str, row: dict, line: dict) -> None:
     """Print ``line`` as k=v pairs; with --out, first write ``row`` as a one-row CSV."""
     if outdir is not None:
         _write(outdir, name, _csv(row.keys(), [row.values()]))
-    print(" ".join(f"{k}={_cell(v)}" for k, v in line.items()))
+    print(" ".join(f"{k}={_SPECS.get(type(v), '%.17g')}" for k, v in line.items())
+          % tuple(line.values()))
 
 
 def _json_value(v) -> str:

@@ -83,26 +83,29 @@ def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
     n0s = np.count_nonzero(probs, axis=0)
     lp = lam * probs
     den = lp + mu[:, None]
-    # per coefficient and parity q of m, the rows m = q, q + 2, ... flattened
-    inv, right, diag = ([np.ascontiguousarray(x[q::2]).ravel() for q in (0, 1)]
+    # per coefficient the rows m = 0, 2, ... then m = 1, 3, ..., flattened
+    inv, right, diag = (np.concatenate((x[0::2], x[1::2])).ravel()
                         for x in (1.0 / den, lp / den, mu[:, None] / den))
+    # per wavefront c: entries n = lo..hi at buffer index [u, v) + B, reading
+    # n - 1 at [u, v); coefficients from k, as m = c + 2 lo is row c // 2 + lo
+    # of parity c & 1; table entries at c + lo (N + 3) .. c + hi (N + 3)
+    c = np.arange(N, 1 - N, -1)
+    lo, hi = np.maximum(1 - c, 0), (N - c) // 2
+    u, v = lo * B, (hi + 1) * B
+    k = (c // 2 + lo) * B + (c & 1) * ((N + 2) // 2 * B)
+    bounds = u, v, u + B, v + B, k, k + v - u, v - u, c + lo * (N + 3), c + hi * (N + 3) + 1
     bufs = np.zeros((2, (N + 2) * B))
     prev, cur = bufs
     tmp = np.empty((N // 2 + 1) * B)
     flat = None if table is None else table.reshape(-1)
-    for c in range(N, 1 - N, -1):
-        lo, hi = (0 if c > 0 else 1 - c), (N - c) // 2
-        u, v = lo * B, (hi + 1) * B
-        i, q = (c // 2 + lo) * B, c & 1  # m = c + 2 lo is row c // 2 + lo of parity q
-        coef = slice(i, i + v - u)
-        dst = cur[u + B:v + B]
-        np.multiply(right[q][coef], prev[u + B:v + B], out=dst)
-        dst += inv[q][coef]
-        t = tmp[:v - u]
-        np.multiply(diag[q][coef], prev[u:v], out=t)
-        dst += t
+    for u, v, u1, v1, k0, k1, n, s, e in zip(*(x.tolist() for x in bounds)):
+        dst, t = cur[u1:v1], tmp[:n]
+        np.multiply(right[k0:k1], prev[u1:v1], dst)
+        np.add(dst, inv[k0:k1], dst)
+        np.multiply(diag[k0:k1], prev[u:v], t)
+        np.add(dst, t, dst)
         if flat is not None:
-            flat[c + lo * (N + 3):c + hi * (N + 3) + 1:N + 3] = dst
+            flat[s:e:N + 3] = dst
         prev, cur = cur, prev
     # wavefront j = N - c, counted from 0, wrote bufs[(j + 1) % 2]; strategy b's
     # last is j = N + n0 - 2

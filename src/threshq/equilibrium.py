@@ -231,5 +231,5 @@ def sweep_mixed(params: EconomicParams, policy: ServiceRatePolicy,
                 f"sweep grid of about {points:.6g} points up to x = {x_hi:g}")
     xs = x_lo + step * np.arange(max(math.floor(points), 0))
     xs = xs[(xs <= top) & (xs > 0.0)]
-    return [(x, w, abs(w - params.r_tilde) <= TOL_EQ)
-            for x, w in zip(xs.tolist(), marginal_delays(policy, xs, params).tolist())]
+    w = marginal_delays(policy, xs, params)
+    return list(zip(xs.tolist(), w.tolist(), (np.abs(w - params.r_tilde) <= TOL_EQ).tolist()))

@@ -1,9 +1,10 @@
 """The CLI's writers against the oracles in tests/_oracles.py, byte for byte,
-and the delay CSV's memory while it is written."""
+and the memory the delay and sweep CSVs hold while they are written."""
 import math
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from threshq import cli, delay
 from threshq.delay import solve_delay_table
@@ -33,6 +34,18 @@ reports = st.builds(EquilibriumReport, st.lists(ints, max_size=5),
                     st.lists(reals, max_size=5), st.lists(st.tuples(reals, reals), max_size=3),
                     st.tuples(reals, reals), st.lists(diagnostics, max_size=4))
 cells = st.one_of(st.text(max_size=6), st.booleans(), ints, reals)
+# the CLI's row types: a sweep (x, W, equilibrium_hit), the arrival CSV (n, W)
+# and the diagnostics (n0, W_marginal, lower_bound, upper_bound, is_equilibrium)
+TABLE_ROWS = ((reals, reals, st.booleans()), (ints, reals),
+              (ints, reals, reals, reals, st.booleans()))
+# a run: a few rows of one type tuple, repeated to a length on either side of
+# one or two blocks (capped, so a larger block cannot make the inputs huge)
+BLOCK = min(cli._BLOCK_ROWS, 4096)
+typed_run = st.sampled_from(TABLE_ROWS).flatmap(lambda kinds: st.builds(
+    lambda rows, n: (rows * n)[:n], st.lists(st.tuples(*kinds), min_size=1, max_size=3),
+    st.one_of(st.integers(0, 2 * BLOCK + 2), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))))
+# files of one to three runs, so the types may change within a block
+typed_runs = st.lists(typed_run, min_size=1, max_size=3).map(lambda runs: sum(runs, []))
 
 
 @WRITERS
@@ -49,7 +62,12 @@ def test_report_matches_json_dumps(report):
 
 
 @WRITERS
-@given(st.lists(st.text(max_size=6), max_size=4), st.lists(st.lists(cells, max_size=6), max_size=5))
+@given(st.lists(st.text(max_size=6), max_size=4),
+       st.one_of(st.lists(st.lists(cells, max_size=6), max_size=5), typed_runs))
+@example(["x", "W", "equilibrium_hit"],  # one block, then a run that starts inside the next
+         [(0.5, 1.25, True)] * (BLOCK + 1) + [(3, 0.5)] * BLOCK)
+@example(["n0"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])  # same cell types, ragged rows
+@example([], [(1, 0.1, 0.2, 0.3, False), (1, 0.1, 0.2, 0.3, 0)])  # a bool, then an int
 def test_csv_matches_typed_oracle(header, rows):
     assert "".join(cli._csv(header, rows)) == typed_csv(header, rows)
 
@@ -79,3 +97,22 @@ def test_delay_csv_streams_row_by_row(tmp_path, monkeypatch):
     size = (tmp_path / "out" / "delay_table.csv").stat().st_size
     assert code == 0 and len(solved) == 1 and size > 2_000_000
     assert peak - solved[0] < size / 10
+
+
+def test_sweep_csv_holds_one_block(tmp_path):
+    """Writing a sweep of 10^5 rows (about 3.8 MB of CSV) through cli._csv adds
+    under a tenth of its size to the memory the rows hold: no % may format
+    the whole sweep."""
+    x = 1.0 + 1e-3 * np.arange(100_000)
+    w = np.sqrt(x) / 3.0
+    rows = list(zip(x.tolist(), w.tolist(), (w > 2.0).tolist()))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write(str(tmp_path), "sweep_mixed_x.csv", cli._csv(("x", "W", "equilibrium_hit"), rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "sweep_mixed_x.csv").stat().st_size
+    assert size > 3_500_000
+    assert peak - start < size / 10
