@@ -3,10 +3,12 @@
     PYTHONPATH=src python3 bench/cli_digests.py --workload solver --seed 1
 
 Builds the queries of ``perfbench/workloads.build(workload, seed)`` in a
-temporary directory, runs each through ``threshq.cli.main`` in this process
-and prints one line per query: its id, its kind and the sha256 of its
-stdout, stderr, exit code and ``--out`` files. The queries use relative
-paths inside that directory, so the lines do not depend on where it is.
+temporary directory and runs each twice through ``threshq.cli.main`` in this
+process: as the workload gives it, then with ``--out`` into a fresh
+directory of its own, so every file the CLI can write is seen. Prints one
+line per query: its id, its kind and, per run, the sha256 of its stdout,
+stderr, exit code and ``--out`` files. The queries use relative paths
+inside that directory, so the lines do not depend on where it is.
 Run the same command with PYTHONPATH at two checkouts' src/ and diff the
 outputs to see whether a change moved any CLI byte.
 """
@@ -63,7 +65,9 @@ def main(argv=None) -> int:
                 with open(plan.instance_path(name), "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
             for q in plan.queries:
-                print(f"q{q['id']:03d} {q['kind']} {digest(q['argv'], q.get('out'))}")
+                out = f"outs/q{q['id']:03d}"
+                print(f"q{q['id']:03d} {q['kind']} {digest(q['argv'], q.get('out'))} "
+                      f"{digest(q['argv'] + ['--out', out], out)}")
         finally:
             os.chdir(home)
     return 0

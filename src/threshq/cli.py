@@ -9,9 +9,10 @@ leaves no state in it. Importing this module builds nothing.
 Output goes to stdout or, with --out DIR, to files in DIR; an --out that
 cannot be written is malformed input. The delay table streams to its target
 row by row, so a run's memory follows the table and not its text. The other
-CSVs go through ``_csv``: each run of rows with one tuple of cell types is
-formatted by one % template per block of _BLOCK_ROWS rows, so a run's memory
-holds one block's text. The equilibria report is written from fixed templates
+CSVs go through ``_csv``: each column's format is declared once, by its name,
+in ``_SPECS``, and each block of _BLOCK_ROWS rows is formatted by one %
+over the line template those formats make, so a run's memory holds one
+block's text. The equilibria report is written from fixed templates
 (``_json_report``), the one owner of its JSON layout; its bytes are those
 json.dumps(indent=2) writes for the same keys and values. Oracle tests in
 tests/test_writers.py pin the bytes of both.
@@ -38,35 +39,25 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 
-# rows per % format of one CSV run: a block's text is held, never the file's
+# rows per % format of a CSV: a block's text is held, never the file's
 _BLOCK_ROWS = 256
-# the % conversion of a cell by its exact type; any other type is a real, "%.17g"
-_SPECS = {str: "%s", bool: "%d", int: "%d"}
-
-
-def _template(kinds) -> str:
-    """The % template of one CSV line whose cells have the types ``kinds``: text
-    as given, a flag as 0/1, an int in full, a real to 17 significant digits."""
-    return ",".join([_SPECS.get(kind, "%.17g") for kind in kinds]) + "\n"
+# the % conversion of a CSV column or k=v value, by its name: counts and flags in
+# full (a pure_n0 sweep's n0 is an integral float), table1's lists of pure
+# thresholds as text and its rewards and bounds as %g; any other is a real, "%.17g"
+_SPECS = {**dict.fromkeys(("n", "n0", "samples", "replications", "violations",
+                           "equilibrium_hit", "is_equilibrium", "degenerate_ci"), "%d"),
+          "below_T": "%s", "above_T": "%s", "R": "%g", "L": "%g", "U": "%g"}
 
 
 def _csv(header, rows):
-    """CSV text chunks: one header line of names, then the rows, each run of rows
-    with one tuple of cell types formatted by a single % over at most _BLOCK_ROWS
-    rows. A block whose rows all share the first row's types (every CLI table) is
-    checked with two list comparisons instead of a type tuple per row."""
-    header = tuple(header)
-    yield _template(map(type, header)) % header
-    rows = map(tuple, rows)
+    """CSV text chunks: the header line, then the rows, each block of at most
+    _BLOCK_ROWS rows formatted by one % over the line template that the
+    column names give through _SPECS."""
+    line = ",".join([_SPECS.get(name, "%.17g") for name in header]) + "\n"
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
     while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        kinds, n = tuple(map(type, block[0])), len(block)
-        cells = tuple(itertools.chain.from_iterable(block))
-        if list(map(type, cells)) == [*kinds] * n and list(map(len, block)) == [len(kinds)] * n:
-            yield _template(kinds) * n % cells
-            continue
-        for kinds, run in itertools.groupby(block, lambda row: tuple(map(type, row))):
-            run = list(run)
-            yield _template(kinds) * len(run) % tuple(itertools.chain.from_iterable(run))
+        yield line * len(block) % tuple(itertools.chain.from_iterable(block))
 
 
 def _parse_range(spec: str) -> tuple[float, float, float | None]:
@@ -126,8 +117,7 @@ def _report(outdir: str | None, name: str, row: dict, line: dict) -> None:
     """Print ``line`` as k=v pairs; with --out, first write ``row`` as a one-row CSV."""
     if outdir is not None:
         _write(outdir, name, _csv(row.keys(), [row.values()]))
-    print(" ".join(f"{k}={_SPECS.get(type(v), '%.17g')}" for k, v in line.items())
-          % tuple(line.values()))
+    print(" ".join(f"{k}={_SPECS.get(k, '%.17g')}" for k in line) % tuple(line.values()))
 
 
 def _json_value(v) -> str:
@@ -196,8 +186,8 @@ def cmd_equilibria(args, params, policy) -> int:
         rows = []
         for R, p, pure in zip(rewards, instances, eq_mod.pure_equilibria(policy, instances)):
             L, U = max((p.r_tilde - 1.0 / mu_h) * mu_l, T + 1.0), max(p.r_tilde * mu_h, T + 1.0)
-            rows.append((f"{R:g}", ";".join(str(k) for k in pure if k <= T),
-                         ";".join(str(k) for k in pure if k > T), f"{L:g}", f"{U:g}"))
+            rows.append((R, ";".join(str(k) for k in pure if k <= T),
+                         ";".join(str(k) for k in pure if k > T), L, U))
         _write(args.out, "table1.csv", _csv(("R", "below_T", "above_T", "L", "U"), rows))
         return EXIT_OK
     mixed = _parse_range(args.mixed_range) if args.mixed_range else None

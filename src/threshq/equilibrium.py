@@ -203,9 +203,7 @@ def find_equilibria(params: EconomicParams, policy: ServiceRatePolicy,
     near = np.minimum(np.abs(fa), np.abs(fb)) <= TOL_EQ
     roots = np.sort(np.concatenate((np.where(np.abs(fa) <= np.abs(fb), a, b)[near],
                                     hi[~flat & (f1 == 0.0)])))
-    for root in roots[np.abs(roots - np.round(roots)) > 1e-9].tolist():  # not a pure threshold
-        if not report.mixed_points or root - report.mixed_points[-1] > 1e-8:
-            report.mixed_points.append(root)
+    report.mixed_points = roots[np.abs(roots - np.round(roots)) > 1e-9].tolist()
     report.mixed_intervals = list(zip(lo[flat].tolist(), hi[flat].tolist()))
     return report
 

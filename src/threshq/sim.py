@@ -150,8 +150,11 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     total = np.array([math.fsum(row) for row in acc])
     mean = math.fsum(total) / reps
     dev = total - size * mean
-    half = (1.959963984540054 * math.sqrt(math.fsum(dev * dev) * b / (b - 1)) / reps
-            if b > 1 else float("inf"))
+    # squared at the scale 2^-e that puts max |dev| in [1/2, 1), undone exactly after sqrt
+    e = math.frexp(float(np.abs(dev).max()))[1]
+    dev = np.ldexp(dev, -e)
+    half = (1.959963984540054 * math.ldexp(math.sqrt(math.fsum(dev * dev) * b / (b - 1)), e)
+            / reps if b > 1 else float("inf"))
     return SojournEstimate(mean, half, reps)
 
 

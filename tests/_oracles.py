@@ -24,7 +24,8 @@ step's mean holding time from rates it recomputes from the state, one join
 coin per replication: the estimator in law, replication by replication; the
 loop flow moves the library's batch counts one scalar binomial at a time,
 and the exact sojourn moments solve the first-step recursion for the mean
-and second moment of the summed holding means. The
+and second moment of the summed holding means; the exact marginal delay
+solves the loop oracle's system in fractions.Fraction, with no rounding. The
 writer oracles are the CLI's earlier writers, the delay CSV built as one
 string by an f-string per entry and the report through ``json.dumps`` with
 ``indent=2``, and a CSV whose cells are formatted by their exact type.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -241,6 +243,30 @@ def loop_delay_solve(policy, strategy, params):
                 val += (mu[m - 1] / denom) * W[n - 1, m - 1]
             W[n, m] = val
     return W
+
+
+def exact_marginal_delay(lam, policy, x) -> Fraction:
+    """w(x) = W(n0 - 1, n0), n0 = ceil(x), in exact rational arithmetic: the
+    first-step system of loop_delay_solve, in its loop order, over
+    fractions.Fraction from the exact values of lam, the policy's rates and
+    x, with join probabilities min(max(x - m, 0), 1); W(-1, 0) = 0."""
+    x, lam = Fraction(x), Fraction(lam)
+    n0 = math.ceil(x)
+    mu = [Fraction(rate) for rate in policy.rates(n0).tolist()]  # mu[m-1] = mu_m
+    p = [min(max(x - m, 0), 1) for m in range(n0 + 1)]
+    row = {0: Fraction(0)}  # W(-1, 0), the answer at n0 = 0; row 0 reads no row before it
+    for n in range(n0):
+        prev, row = row, {}
+        for m in range(n0, n, -1):
+            lp = lam * p[m]
+            denom = lp + mu[m - 1]
+            val = 1 / denom
+            if m < n0:
+                val += (lp / denom) * row[m + 1]
+            if n >= 1:
+                val += (mu[m - 1] / denom) * prev[m - 1]
+            row[m] = val
+    return row[n0]
 
 
 def grid_mixed_equilibria(params, policy, x_min, x_max):

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from _oracles import (
     contiguous_equilibria,
     contiguous_scan,
     dense_delay_solve,
+    exact_marginal_delay,
     grid_mixed_equilibria,
     naor_set,
     sweep_grid_loop,
@@ -447,6 +450,36 @@ class TestFindMixedEquilibria:
         pts, _ = mixed_equilibria(p, pol, 0.8048510429478173, 4.229801154452088)
         assert len(pts) == 2 and abs(pts[0] - 1.15620464942) < 1e-11
         assert np.all(np.abs(marginal_delays(pol, pts, p) - p.r_tilde) <= 4.1 * TOL_ROOT_X / 32)
+
+    @staticmethod
+    @functools.cache
+    def exact_w(x: float) -> Fraction:
+        return exact_marginal_delay(3.0, TestFindMixedEquilibria.POL, x)
+
+    @pytest.mark.parametrize("R", [8.15, 8.5])
+    def test_case_study_against_exact_delays(self, R):
+        # every verdict and every unit interval of (0.5, 5R] against w in exact
+        # arithmetic: candidate n0 is an equilibrium iff w(n0) <= r_tilde <=
+        # w(n0) + 1/mu_{n0+1}, and (k, k+1] holds one root iff w(k+) > r_tilde > w(k+1)
+        assert self.exact_w(16) == 8 and self.exact_w(17) == Fraction(17, 2)
+        p, r = params_R(R), Fraction(R)
+        report = find_equilibria(p, self.POL, (0.5, 5 * R))
+        mu = [Fraction(v) for v in self.POL.rates(math.ceil(5 * R) + 1).tolist()]
+        for d in report.diagnostics:
+            w = self.exact_w(d.n0)
+            assert d.is_equilibrium == (w <= r <= w + 1 / mu[d.n0])
+        flat, roots = [], 0
+        for k in range(math.ceil(5 * R)):
+            lo, hi = max(float(k), 0.5), min(k + 1.0, 5 * R)
+            f0 = self.exact_w(lo) + (1 / mu[k] if lo == k else 0) - r  # w(k+) at lo = k
+            f1 = self.exact_w(hi) - r
+            inside = [x for x in report.mixed_points if lo < x < hi]
+            assert len(inside) == (1 if f0 > 0 > f1 else 0), (lo, hi)
+            roots += len(inside)
+            if f0 == f1 == 0:
+                flat.append((lo, hi))
+        assert roots == len(report.mixed_points) > 0
+        assert report.mixed_intervals == flat
 
     def test_roots_are_noninteger(self):
         pts, _ = mixed_equilibria(params_R(8.5), self.POL, 24.0, 40.0)

@@ -151,6 +151,22 @@ class TestSimulateSojourn:
         assert first == pytest.approx(arrival_delay(table, cfg.policy, 5), rel=1e-13)
         assert second > first * first
 
+    @pytest.mark.parametrize("k", [-1000, -500, 0, 500, 1000])
+    def test_rates_scaled_by_a_power_of_two_scale_the_estimate(self, k):
+        # every rate times 2^k: the same jump chain, each holding mean times 2^-k,
+        # so mean and half-width scale exactly (at 2^1000 the squared deviations
+        # would underflow to 0, at 2^-1000 overflow, if squared unscaled)
+        def estimate(k):
+            cfg = SimConfig(7, 2000, EconomicParams(math.ldexp(3.0, k), 8.5, 1.0),
+                            ServiceRatePolicy.two_rate(23, math.ldexp(2.0, k), math.ldexp(5.0, k)),
+                            strategy_from_x(25.5))
+            return simulate_sojourn(cfg, 12)
+
+        base, est = estimate(0), estimate(k)
+        assert base.half_width_95 > 0.0
+        assert (est.mean, est.half_width_95) == (math.ldexp(base.mean, -k),
+                                                 math.ldexp(base.half_width_95, -k))
+
     def test_seeds_past_2_63_differ(self):
         a = simulate_sojourn(config(seed=2**63), 2)
         b = simulate_sojourn(config(seed=2**63 + 1), 2)

@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from threshq import cli, delay
 from threshq.delay import solve_delay_table
@@ -33,19 +33,43 @@ diagnostics = st.builds(CandidateDiagnostic, ints, reals, reals, reals, st.boole
 reports = st.builds(EquilibriumReport, st.lists(ints, max_size=5),
                     st.lists(reals, max_size=5), st.lists(st.tuples(reals, reals), max_size=3),
                     st.tuples(reals, reals), st.lists(diagnostics, max_size=4))
-cells = st.one_of(st.text(max_size=6), st.booleans(), ints, reals)
-# the CLI's row types: a sweep (x, W, equilibrium_hit), the arrival CSV (n, W)
-# and the diagnostics (n0, W_marginal, lower_bound, upper_bound, is_equilibrium)
-TABLE_ROWS = ((reals, reals, st.booleans()), (ints, reals),
-              (ints, reals, reals, reals, st.booleans()))
-# a run: a few rows of one type tuple, repeated to a length on either side of
-# one or two blocks (capped, so a larger block cannot make the inputs huge)
+# a table's length: around one and two blocks (capped, so a larger block
+# cannot make the inputs huge), or one row for simulate.csv and coupling.csv
 BLOCK = min(cli._BLOCK_ROWS, 4096)
-typed_run = st.sampled_from(TABLE_ROWS).flatmap(lambda kinds: st.builds(
-    lambda rows, n: (rows * n)[:n], st.lists(st.tuples(*kinds), min_size=1, max_size=3),
-    st.one_of(st.integers(0, 2 * BLOCK + 2), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))))
-# files of one to three runs, so the types may change within a block
-typed_runs = st.lists(typed_run, min_size=1, max_size=3).map(lambda runs: sum(runs, []))
+lengths = st.one_of(st.integers(0, 2 * BLOCK + 2),
+                    st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]))
+pure_lists = st.lists(st.integers(0, 3161), max_size=3).map(lambda ks: ";".join(map(str, ks)))
+
+
+def g_strings(row):
+    """A table1 row as the CLI built it before its formats were declared per
+    column: R, L and U as f"{v:g}" strings."""
+    R, below, above, L, U = row
+    return f"{R:g}", below, above, f"{L:g}", f"{U:g}"
+
+
+def cli_table(header, *columns, length=lengths, oracle_row=tuple):
+    """(header, rows, the rows as typed_csv takes them) of a table the CLI
+    writes: a few rows drawn from the column strategies, repeated to a length."""
+    def table(rows, n):
+        rows = (rows * n)[:n]
+        return header, rows, [oracle_row(row) for row in rows]
+    return st.builds(table, st.lists(st.tuples(*columns), min_size=1, max_size=3), length)
+
+
+# the seven tables of the CLI's --out files, each with its header and column types
+cli_tables = st.one_of(
+    cli_table(("n0", "W", "equilibrium_hit"), st.integers(1, 2 ** 53).map(float), reals,
+              st.booleans()),
+    cli_table(("x", "W", "equilibrium_hit"), reals, reals, st.booleans()),
+    cli_table(("n", "W"), ints, reals),
+    cli_table(CandidateDiagnostic._fields, ints, reals, reals, reals, st.booleans()),
+    cli_table(("n", "mean", "half_width_95", "samples", "analytic"), ints, reals, reals, ints,
+              reals, length=st.just(1)),
+    cli_table(("replications", "violations", "max_violation", "mean_last_gap"), ints, ints, reals,
+              reals, length=st.just(1)),
+    cli_table(("R", "below_T", "above_T", "L", "U"), reals, pure_lists, pure_lists, reals, reals,
+              oracle_row=g_strings))
 
 
 @WRITERS
@@ -62,14 +86,10 @@ def test_report_matches_json_dumps(report):
 
 
 @WRITERS
-@given(st.lists(st.text(max_size=6), max_size=4),
-       st.one_of(st.lists(st.lists(cells, max_size=6), max_size=5), typed_runs))
-@example(["x", "W", "equilibrium_hit"],  # one block, then a run that starts inside the next
-         [(0.5, 1.25, True)] * (BLOCK + 1) + [(3, 0.5)] * BLOCK)
-@example(["n0"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])  # same cell types, ragged rows
-@example([], [(1, 0.1, 0.2, 0.3, False), (1, 0.1, 0.2, 0.3, 0)])  # a bool, then an int
-def test_csv_matches_typed_oracle(header, rows):
-    assert "".join(cli._csv(header, rows)) == typed_csv(header, rows)
+@given(cli_tables)
+def test_csv_matches_typed_oracle(table):
+    header, rows, oracle_rows = table
+    assert "".join(cli._csv(header, rows)) == typed_csv(header, oracle_rows)
 
 
 def test_delay_csv_streams_row_by_row(tmp_path, monkeypatch):
