@@ -9,7 +9,14 @@ writing is timed.
 - delay_csv.n0_266: the case-study policy (T = 23, rates 2 and 5,
   lambda = 3) under the pure threshold 266, its delay table (35,511 rows,
   about 0.9 MB) written to a file as `delay --x 266 --out` writes it.
-- arrival_csv.n0_266: the same table's arrival delays W(n), n = 0..266,
+- delay_csv.spread_265: a table of the solver workload's `delay` shape,
+  4 prefix rates (1.2, 2, 2.6, 3.1) then the tail 3.5, lambda = 1.7, under
+  the threshold 264.4 (35,245 rows), written the same way. Past m = n + 4
+  each row repeats one value, so 34,475 entries repeat their neighbour.
+- delay_csv.rising_300: 300 prefix rates rising from 1 to 4 (tail 4.01,
+  lambda = 3) under the threshold 300 (45,150 rows), written the same way:
+  no entry repeats its neighbour, so every W is formatted on its own.
+- arrival_csv.n0_266: the n0_266 table's arrival delays W(n), n = 0..266,
   written as `delay --x 266 --out` writes arrival_delay.csv.
 - report.mixed_24_46: the JSON text of the case-study report at reward 9.1
   with the mixed range 24:46, the shape of the solver workload's
@@ -31,6 +38,7 @@ cli._json_report) is timed through those older writers.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 import json
@@ -66,7 +74,13 @@ def writers(cli, tmp: str) -> dict:
     model, eq = sys.modules[cli.__package__ + ".model"], cli.eq_mod
     case = model.ServiceRatePolicy.two_rate(23, 2.0, 5.0)
     params = model.EconomicParams(3.0, 9.1, 1.0)
-    table = cli.delay_mod.solve_delay_table(case, model.strategy_from_x(266), params)
+    tables = {name: cli.delay_mod.solve_delay_table(
+        policy, model.strategy_from_x(x), model.EconomicParams(lam, 9.1, 1.0))
+        for name, policy, x, lam in [
+            ("n0_266", case, 266, 3.0),
+            ("spread_265", model.ServiceRatePolicy((1.2, 2.0, 2.6, 3.1), 3.5), 264.4, 1.7),
+            ("rising_300", model.ServiceRatePolicy(np.linspace(1.0, 4.0, 300), 4.01), 300, 3.0)]}
+    table = tables["n0_266"]
     report = eq.find_equilibria(params, case, (24.0, 46.0))
     arrival = [(n, cli.delay_mod.arrival_delay(table, case, n)) for n in range(table.n0 + 1)]
     rows = eq.sweep_mixed(params, case, 1.0, 140.0, 1.0)
@@ -74,7 +88,7 @@ def writers(cli, tmp: str) -> dict:
     os.makedirs(tmp, exist_ok=True)
     path = os.path.join(tmp, "delay_table.csv")
 
-    def delay_csv():
+    def delay_csv(table):
         if len(inspect.signature(table.to_csv).parameters) == 1:
             with open(path, "w", encoding="utf-8") as fh:
                 table.to_csv(fh)
@@ -86,7 +100,8 @@ def writers(cli, tmp: str) -> dict:
             return cli._json_report(report)
         return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
-    return {"delay_csv.n0_266.s": delay_csv,
+    return {**{f"delay_csv.{name}.s": functools.partial(delay_csv, t)
+               for name, t in tables.items()},
             "arrival_csv.n0_266.s": lambda: cli._write(
                 tmp, "arrival_delay.csv", cli._csv(("n", "W"), arrival)),
             "report.mixed_24_46.s": report_text,

@@ -8,8 +8,8 @@ leaves no state in it. Importing this module builds nothing.
 
 Output goes to stdout or, with --out DIR, to files in DIR; an --out that
 cannot be written is malformed input. The delay table streams to its target
-row by row, so a run's memory follows the table and not its text. The other
-CSVs go through ``_csv``: each column's format is declared once, by its name,
+in blocks of rows, so a run's memory follows the table and not its text. The
+other CSVs go through ``_csv``: each column's format is declared once, by its name,
 in ``_SPECS``, and each block of _BLOCK_ROWS rows is formatted by one %
 over the line template those formats make, so a run's memory holds one
 block's text. The equilibria report is written from fixed templates
@@ -166,8 +166,10 @@ def cmd_delay(args, params, policy) -> int:
     with _target(args.out, "delay_table.csv") as fh:
         table.to_csv(fh)
     if args.out is not None:
-        _write(args.out, "arrival_delay.csv", _csv(("n", "W"), (
-            (n, delay_mod.arrival_delay(table, policy, n)) for n in range(table.n0 + 1))))
+        # W(n) = W(n, n + 1) below the balk state: the table's first superdiagonal
+        arrivals = [*table.entries.diagonal(1).tolist(),
+                    delay_mod.arrival_delay(table, policy, table.n0)]
+        _write(args.out, "arrival_delay.csv", _csv(("n", "W"), enumerate(arrivals)))
     return EXIT_OK
 
 

@@ -14,8 +14,11 @@ are zero from each row's own balk state on, so entries past it are finite
 and multiplied by p = 0, and never reach a valid entry. Callers that need
 only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
 
-A table's CSV streams to its file row by row (DelayTable.to_csv), so writing
-it holds one row's text, not the table's.
+A table's CSV streams to its file in blocks of rows (DelayTable.to_csv), so
+writing it holds one block's text, not the table's. Most of a row's text
+repeats: past m = n + K (K prefix rates) the tagged customer's remaining path
+sees only the tail rate M, so W(n, m) = (n + 1) / M whatever m, and the
+writer formats each run of bit-identical entries once.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from .model import (EconomicParams, JoinStrategy, ServiceRatePolicy, check_table
 # strategies x padded balk state per batched sweep; larger batches are split,
 # so the memory of a batched solve stays a few MB whatever its size
 _CHUNK_CELLS = 1 << 15
+# entries per block of rows that DelayTable.to_csv formats with one %
+_CSV_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -51,18 +56,37 @@ class DelayTable:
         """Write the table as CSV to the text stream ``file``: header n,m,W, then
         one line per entry, W to 17 significant digits.
 
-        Each row n goes out as one string, a single ``%`` format over the
-        row's m and W, so the writer holds one row's text at a time: memory
-        follows the table and not its text, which is about 141 MB at the
-        largest table check_table_size allows.
+        Rows go out in blocks of about _CSV_BLOCK entries, each one string
+        from a single ``%`` over a template joined from per-m pieces, so the
+        writer holds one block's text at a time: memory follows the table
+        and not its text, which is about 141 MB at the largest table
+        check_table_size allows. Past m = n + K (K prefix rates) a tagged
+        customer's path sees only the tail rate, so W(n, m) = (n + 1) / M
+        for most of a row and a block repeats few bit patterns; where over
+        half its entries repeat their neighbour, each run of equal bits is
+        formatted once and its text repeated. Bits, not floats, are compared:
+        -0.0 and 0.0 print differently, and NaN equals nothing.
         """
         file.write("n,m,W\n")
-        ms = [str(m) for m in range(self.n0 + 1)]
-        for n in range(self.n0):
-            row = self.entries[n, n + 1:].tolist()  # W(n, n + 1..n0) as Python floats
-            cells = [None] * (2 * len(row))  # m, W(n, m), m + 1, ...
-            cells[::2], cells[1::2] = ms[n + 1:], row
-            file.write(f"{n},%s,%.17g\n" * len(row) % tuple(cells))
+        n0 = self.n0
+        # row n's template: its pieces m = n + 1..n0 joined by f"{conv}\n{n},", where
+        # conv is s for a block of formatted W and .17g for a block of floats
+        pieces = [f"{m},%" for m in range(n0 + 1)]
+        ends = np.cumsum(n0 - np.arange(n0))  # entries in rows 0..n
+        a = 0
+        while a < n0:
+            # rows a..b-1: as many as _CSV_BLOCK entries hold, and at least one
+            b = max(int(np.searchsorted(ends, ends[a] - (n0 - a) + _CSV_BLOCK, "right")), a + 1)
+            cells = np.concatenate([self.entries[n, n + 1:] for n in range(a, b)])
+            bits = cells.view(np.uint64)
+            runs = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))  # run starts
+            conv = ".17g"
+            if 2 * len(runs) < len(cells):  # over half the entries repeat their neighbour
+                texts = np.array(["%.17g" % w for w in cells[runs].tolist()], dtype=object)
+                cells, conv = np.repeat(texts, np.diff(runs, append=len(cells))), "s"
+            file.write("".join([f"{n}," + f"{conv}\n{n},".join(pieces[n + 1:]) + f"{conv}\n"
+                                for n in range(a, b)]) % tuple(cells.tolist()))
+            a = b
 
 
 def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,

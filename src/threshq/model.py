@@ -81,6 +81,9 @@ class ServiceRatePolicy:
             raise InstanceError("service rates must be nondecreasing")
         if not (prefix[-1:] <= tail).all():
             raise InstanceError("prefix rates must not exceed the tail rate")
+        low = float(prefix[0]) if len(prefix) else tail  # the rates are ordered now
+        if not math.isfinite(1.0 / low):  # a subnormal rate: 1/mu would overflow
+            raise InstanceError(f"service rate {low!r} is too small: its reciprocal overflows")
 
     @property
     def threshold_form(self) -> tuple[int, float, float] | None:

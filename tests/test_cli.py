@@ -525,6 +525,20 @@ def test_negative_x_exit_2(capsys, case_study_instance, command, args):
     assert err.startswith("error:") and "nonnegative" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, args", [
+    ("equilibria", []),
+    ("sweep", ["--kind", "pure_n0", "--range", "1:3"]),
+])
+def test_subnormal_rate_exit_2(tmp_path, capsys, command, args):
+    # 1/1e-310 overflows; once accepted, the rate gave overflow warnings or the row 1,inf,0
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({"lambda": 1, "reward": 3, "wait_cost": 1,
+                                "policy": {"prefix": [1e-310], "tail": 1}}))
+    code, out, err = run_cli(capsys, command, "--instance", str(path), *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "1e-310" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, args, shown", [
     ("sweep", ["--kind", "pure_n0", "--range", "-1:3"], "'-1:3'"),
     ("equilibria", ["--mixed-range", "-1:3"], "'-1:3'"),

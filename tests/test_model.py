@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,16 @@ class TestServiceRatePolicy:
                 ServiceRatePolicy((), bad)
             with pytest.raises(InstanceError):
                 ServiceRatePolicy((0.5, bad), 1.0)
+
+    def test_rate_with_overflowing_reciprocal_rejected(self):
+        assert ServiceRatePolicy((sys.float_info.min,), 1.0).prefix[0] == sys.float_info.min
+        for bad in (1.0 / sys.float_info.max, 1e-310, 5e-324):  # the first rounds 1/bad up to inf
+            with pytest.raises(InstanceError, match=f"service rate {bad!r} is too small"):
+                ServiceRatePolicy((bad,), 1.0)
+            with pytest.raises(InstanceError, match="too small"):
+                ServiceRatePolicy((), bad)
+            with pytest.raises(InstanceError, match="too small"):
+                ServiceRatePolicy.two_rate(2, bad, 1.0)
 
     def test_threshold_form_must_match_rates(self):
         with pytest.raises(InstanceError):

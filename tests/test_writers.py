@@ -4,10 +4,10 @@ import math
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from threshq import cli, delay
-from threshq.delay import solve_delay_table
+from threshq.delay import DelayTable, solve_delay_table
 from threshq.equilibrium import CandidateDiagnostic, EquilibriumReport
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
@@ -76,6 +76,34 @@ cli_tables = st.one_of(
 @given(policies, thresholds, st.floats(0.1, 5.0))
 def test_delay_csv_matches_loop_oracle(policy, x, lam):
     table = solve_delay_table(policy, strategy_from_x(x), EconomicParams(lam, 1.0, 1.0))
+    assert written_csv(table) == loop_delay_csv(table)
+
+
+def hand_built(n0, runs):
+    """DelayTable(n0, entries) whose entries W(n, m), read n-major, are the
+    runs (value, length) tiled over the triangle 0 <= n < m <= n0."""
+    mask = np.arange(n0 + 1) > np.arange(max(n0, 1))[:, None]
+    entries = np.full(mask.shape, np.nan)
+    entries[mask] = np.resize([v for v, k in runs for _ in range(k)], mask.sum())
+    return DelayTable(n0, entries)
+
+
+@WRITERS
+@given(st.builds(hand_built, st.one_of(st.integers(0, 12), st.integers(60, 90)),
+                 st.lists(st.tuples(reals, st.integers(1, 300)), min_size=1, max_size=12)))
+@example(hand_built(0, [(1.0, 1)]))
+@example(hand_built(1, [(2.5, 1)]))
+@example(hand_built(2, [(0.5, 1), (0.75, 1), (1.0, 1)]))
+@example(hand_built(4, [(1.5, 6), (2.5, 4)]))  # the 1.5 run crosses from row 0 into row 1
+@example(hand_built(3, [(-0.0, 2), (0.0, 2), (-0.0, 2)]))
+@example(hand_built(3, [(math.nan, 2), (-math.nan, 2), (math.inf, 1), (-math.inf, 1)]))
+@example(hand_built(5, [(0.25, 4), (0.5, 1), (0.75, 10)]))  # run ends one entry before row 0's end
+@example(hand_built(70, [(1.0 + 2.0 ** -52, 1), (1.0, 1)]))  # no repeats, and more than one block
+# runs over many rows, one across a block edge
+@example(hand_built(70, [(-0.0, 1000), (0.0, 1415)]))
+def test_delay_csv_of_hand_built_tables_matches_loop_oracle(table):
+    """Runs of equal bits, of -0.0 and 0.0, of NaN and infinities, within and
+    across rows and blocks, write the bytes of one f-string per entry."""
     assert written_csv(table) == loop_delay_csv(table)
 
 
