@@ -111,6 +111,19 @@ def writers(cli, tmp: str) -> dict:
                 tmp, "sweep_mixed_x.csv", cli._csv(("x", "W", "equilibrium_hit"), mixed))}
 
 
+def interleaved(trees: list[str], calls: list[dict]) -> dict:
+    """ROUNDS rounds of every tree's calls (name -> call), the first tree of a
+    round alternating; each value is the median of the rounds."""
+    runs = [{name: [] for name in c} for c in calls]
+    for r in range(ROUNDS):
+        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+            for name, fn in calls[i].items():
+                runs[i][name].append(seconds(fn, budget=0.25))
+    return {"rounds": ROUNDS, "trees": {
+        src: {"seconds": {name: statistics.median(v) for name, v in run.items()}, "runs": run}
+        for src, run in zip(trees, runs)}}
+
+
 def main(trees: list[str]) -> dict:
     head = {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine()}
@@ -119,14 +132,7 @@ def main(trees: list[str]) -> dict:
             return {**head, "seconds": {name: seconds(fn)
                                         for name, fn in writers(load(None), tmp).items()}}
         calls = [writers(load(src), os.path.join(tmp, str(i))) for i, src in enumerate(trees)]
-        runs = [{name: [] for name in c} for c in calls]
-        for r in range(ROUNDS):
-            for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
-                for name, fn in calls[i].items():
-                    runs[i][name].append(seconds(fn, budget=0.25))
-    return {**head, "rounds": ROUNDS, "trees": {
-        src: {"seconds": {name: statistics.median(v) for name, v in run.items()}, "runs": run}
-        for src, run in zip(trees, runs)}}
+        return {**head, **interleaved(trees, calls)}
 
 
 if __name__ == "__main__":

@@ -20,6 +20,14 @@ import numpy as np
 # 3161); a mixed sweep's grid points x (its balk state ceil(x_hi) + 1); a
 # simulation's replications; and a coupling's replications x (n + 1)
 MAX_TABLE_CELLS = 10**7
+# the smallest service rate an instance may give. A delay W(n, m) is at most
+# (n + 1) / mu_1 with n + 1 <= 3,162 < 2^12, and a coupling time at most n + 1
+# requirements (each below 2^6) served at mu_1 or faster, so both stay below
+# 2^18 / mu_1 <= 2^1018, short of the 2^1024 where floats overflow. Over
+# replications, a coupling's mean gap sums at most MAX_TABLE_CELLS / (n + 1) <
+# 2^24 / (n + 1) gaps of mean at most (n + 1) / mu_1, and simulate_sojourn takes
+# its sums at a scale that keeps them finite.
+MIN_RATE = 2.0**-1000
 
 
 class InstanceError(ValueError):
@@ -225,6 +233,9 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
                                             _finite(pol["mu_high"], "policy mu_high"))
     else:
         raise InstanceError(f"policy keys must be {sorted(_PREFIX_KEYS)} or {sorted(_TWO_RATE_KEYS)}, got {sorted(keys)}")
+    low = float(policy.rates(1)[0])  # the rates are ordered
+    if not low >= MIN_RATE:
+        raise InstanceError(f"service rate {low!r} is too small: below the floor 2^-1000")
     return params, policy
 
 

@@ -8,14 +8,15 @@ holding times. It runs as a population flow: a replication's state after t
 steps is its number d of departures, so a batch of replications is one row
 of counts by d, and each step moves a binomial share of every count at
 the cost of the counts in use, not of the replications; the half-width
-comes from the means of _BATCHES batches. The coupling advances its live replications in
-lock-step, one vectorized event per replication per step, and keeps arrays
-of live replications only, filtered after a step where one finished. The
-two systems read the same draw for each arrival and join coin, and the same
-service requirement for each initial customer; only those are ever served,
-so each system tracks just the one in service, in 1-D arrays of its own,
-events are picked elementwise, and a finished replication's departures go to
-its own row.
+comes from the means of _BATCHES batches. The coupling advances its
+replications in lock-step, one vectorized event per replication per step; a
+finished one is retired in place (its time set to NaN, so it takes no event
+and draws nothing), and the arrays are compacted once a quarter of them have
+retired. The two systems read the same draw for each arrival and join coin,
+and the same service requirement for each initial customer; only those are
+ever served, so each system tracks just the one in service, in 1-D arrays of
+its own, events are picked elementwise, and one pointer per system reads the
+next requirement and places the departure.
 """
 from __future__ import annotations
 
@@ -127,6 +128,11 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     lp = config.params.arrival_rate * np.append(config.strategy.probs, 0.0)[1:]  # [m - 1] at m
     rate = lp + config.policy.rates(n0 + 1)
     hold, join = 1.0 / rate, lp / rate
+    # the sums of Y reach about reps W(n) <= reps (n + 1) / mu_1, past the largest float for
+    # rates near model.MIN_RATE, so they are taken at a scale 2^-e that keeps them below
+    # 2^1000 and undone exactly at the end (e = 0 unless 1 / mu_1 is near that size)
+    e = max(0, math.frexp(float(hold.max()))[1] + (reps * (n + 1)).bit_length() - 1000)
+    hold = np.ldexp(hold, -e)
     b = min(_BATCHES, reps)
     size = np.full(b, reps // b, dtype=np.int64)
     size[:reps % b] += 1
@@ -150,12 +156,12 @@ def simulate_sojourn(config: SimConfig, n: int) -> SojournEstimate:
     total = np.array([math.fsum(row) for row in acc])
     mean = math.fsum(total) / reps
     dev = total - size * mean
-    # squared at the scale 2^-e that puts max |dev| in [1/2, 1), undone exactly after sqrt
-    e = math.frexp(float(np.abs(dev).max()))[1]
-    dev = np.ldexp(dev, -e)
-    half = (1.959963984540054 * math.ldexp(math.sqrt(math.fsum(dev * dev) * b / (b - 1)), e)
+    # squared at the scale 2^-f that puts max |dev| in [1/2, 1), undone exactly after sqrt
+    f = math.frexp(float(np.abs(dev).max()))[1]
+    dev = np.ldexp(dev, -f)
+    half = (1.959963984540054 * math.ldexp(math.sqrt(math.fsum(dev * dev) * b / (b - 1)), f)
             / reps if b > 1 else float("inf"))
-    return SojournEstimate(mean, half, reps)
+    return SojournEstimate(math.ldexp(mean, e), math.ldexp(half, e), reps)
 
 
 def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
@@ -170,7 +176,9 @@ def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
     A, then from B, then the arrival. A system stops once its label n has
     left, so no joiner, queued behind it, is ever served. Replications
     advance in lock-step, in consecutive blocks of at most
-    _BLOCK_CELLS // (n0 + 1) drawn from one generator.
+    _BLOCK_CELLS // (n0 + 1) drawn from one generator; a block keeps its
+    departures in its own (rows, n + 2) arrays and copies them into the
+    outcome once its last row has finished.
     """
     n0 = config.strategy.balk_state
     if not (1 <= n <= n0 - 1):
@@ -190,43 +198,63 @@ def run_coupling(config: SimConfig, n: int) -> CouplingOutcome:
 def _couple_block(rng: np.random.Generator, lam: float, probs: np.ndarray, mu: np.ndarray,
                   n: int, dep: tuple[np.ndarray, np.ndarray]) -> None:
     """Run one block's replications, one per row of dep[0] and dep[1], until
-    label n has left both systems; the d-th departure from system s (A = 0,
-    B = 1) in replication r, label d - s by FCFS, is written to dep[s][r, d - 1].
+    label n has left both systems; the departure of label j from system s
+    (A = 0, B = 1) in replication r is written to dep[s][r, j - 1 + s].
 
     Joiners queue behind label n, the last one served, so each system keeps
-    one 1-D array per quantity over the live replications: the remaining
-    requirement of the one in service, departures d and size. After d
-    departures it serves label d + 1 - s, whose requirement is at row ``pos``
-    of the block's matrix; an inf after label n keeps a finished system from
-    firing. Finished replications are dropped after each step.
+    1-D arrays over the block's rows: the remaining requirement of the one
+    in service, the size, and a pointer to the one in service in the block's
+    flat requirements (label j of row r at r (n + 2) + j, then an inf). Its
+    departures go to the pointer in the same layout, and the next
+    requirement is read one slot on. A row whose two systems both hold their
+    inf has finished: its time becomes NaN, so it takes no event and draws
+    nothing, and the rows are compacted once a quarter have finished. Each
+    step draws for its arrival rows in row order, so retiring moves no draw.
     """
-    k = len(dep[0])
+    k, w = len(dep[0]), n + 2
     # S_0..S_n (A holds S_1..S_n), then inf for the label after n
-    req = np.hstack((rng.exponential(1.0, (k, n + 1)), np.full((k, 1), np.inf)))
-    pos, t, nxt = np.arange(k), np.zeros(k), rng.exponential(1.0 / lam, k)
-    left = [req[:, 1].copy(), req[:, 0].copy()]  # A serves S_1 first, B serves S_0
-    d = [np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)]
+    req = np.hstack((rng.exponential(1.0, (k, n + 1)), np.full((k, 1), np.inf))).ravel()
+    t, nxt = np.zeros(k), rng.exponential(1.0 / lam, k)
+    after = req[1:]  # after[p] is the requirement that follows slot p
+    row = np.arange(0, k * w, w)
+    ptr = [row + 1, row]  # A serves S_1 first, B serves S_0
+    left = [req[p] for p in ptr]
     size = [np.full(k, n), np.full(k, n + 1)]  # A starts with n present, B with n + 1
-    while len(pos):
-        rate = [mu[z - 1] for z in size]  # size >= 1 while a system holds label n
+    mus = np.concatenate((mu[-1:], mu))  # the rate with z present
+    out = np.empty((2, k * w))  # each system's departures, label j of row r at r w + j
+    retired = 0
+    while len(t):
+        rate = [mus[z] for z in size]
         fire = [t + l / r for l, r in zip(left, rate)]
-        now = np.minimum(np.minimum(fire[0], fire[1]), nxt)
-        first = fire[0] == now  # the first minimum fires: A, then B, then the arrival
-        events = [first, (fire[1] == now) & ~first]
+        soonest = np.minimum(fire[0], fire[1])
+        now = np.minimum(soonest, nxt)
+        dt = now - t
+        # the first minimum fires: A, then B (where it ties now and A does not), then the arrival
+        first = fire[0] == now
+        events = [first, (fire[1] == now) > first]
         for s in (0, 1):
-            left[s] -= rate[s] * (now - t)
-            d[s] += events[s]
-            size[s] -= events[s]
+            left[s] -= rate[s] * dt
             i = np.flatnonzero(events[s])
-            j, di = pos[i], d[s][i]
-            dep[s][j, di - 1] = now[i]
-            left[s][i] = req[j, di + 1 - s]
-        t, i = now, np.flatnonzero(~(events[0] | events[1]))
+            p = ptr[s][i]
+            out[s][p] = now[i]
+            left[s][i] = after[p]
+            ptr[s] += events[s]
+            size[s] -= events[s]
+        t, i = now, np.flatnonzero(nxt < soonest)
         coin = rng.random(len(i))
         nxt[i] = t[i] + rng.exponential(1.0 / lam, len(i))
         for z in size:  # a finished system's size only scales its infinite requirement
-            z[i] += coin < probs[z[i]]
-        keep = (d[0] < n) | (d[1] <= n)
-        if not keep.all():
-            pos, t, nxt = pos[keep], t[keep], nxt[keep]
-            left, d, size = ([a[keep] for a in arrays] for arrays in (left, d, size))
+            zi = z[i]
+            z[i] = zi + (coin < probs[zi])
+        done = np.minimum(left[0], left[1]) == np.inf
+        finished = np.count_nonzero(done)
+        if finished:
+            t[done] = np.nan
+            retired += finished
+            if 4 * retired >= len(t):
+                keep = ~np.isnan(t)
+                t, nxt = t[keep], nxt[keep]
+                left, ptr, size = ([a[keep] for a in arrays] for arrays in (left, ptr, size))
+                retired = 0
+    for s, a in enumerate(dep):
+        a[...] = out[s].reshape(k, w)[:, 1 - s:w - 1]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -525,18 +526,35 @@ def test_negative_x_exit_2(capsys, case_study_instance, command, args):
     assert err.startswith("error:") and "nonnegative" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("policy, shown", [
+    ({"prefix": [1e-310], "tail": 1}, "1e-310"),
+    ({"T": 3, "mu_low": 6e-309, "mu_high": 1}, "6e-309"),
+])
 @pytest.mark.parametrize("command, args", [
     ("equilibria", []),
     ("sweep", ["--kind", "pure_n0", "--range", "1:3"]),
+    ("simulate", ["--n", "1", "--x", "2", "--reps", "100"]),
+    ("verify-coupling", ["--n", "1", "--n0", "3", "--reps", "100"]),
 ])
-def test_subnormal_rate_exit_2(tmp_path, capsys, command, args):
-    # 1/1e-310 overflows; once accepted, the rate gave overflow warnings or the row 1,inf,0
+def test_subnormal_rate_exit_2(tmp_path, capsys, policy, shown, command, args):
+    # 1/1e-310 overflows, and 1/6e-309 does not but its multiples do: once accepted,
+    # such rates gave overflow warnings, the rows 1,inf,0 or 2,nan,0, an OverflowError
+    # from simulate, and a coupling whose departures never came, so a hang fails here
     path = tmp_path / "subnormal.json"
-    path.write_text(json.dumps({"lambda": 1, "reward": 3, "wait_cost": 1,
-                                "policy": {"prefix": [1e-310], "tail": 1}}))
-    code, out, err = run_cli(capsys, command, "--instance", str(path), *args)
+    path.write_text(json.dumps({"lambda": 1, "reward": 3, "wait_cost": 1, "policy": policy}))
+
+    def hang(signum, frame):
+        raise TimeoutError(f"{command} still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        code, out, err = run_cli(capsys, command, "--instance", str(path), *args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "1e-310" in err and err.count("\n") == 1
+    assert err.startswith("error:") and shown in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, args, shown", [

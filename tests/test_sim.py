@@ -253,11 +253,12 @@ class TestRunCoupling:
     @staticmethod
     def random_coupling(rng):
         """A general policy, a pure or mixed threshold with balk state 2..30,
-        an initial state n and a handful of replications."""
+        an initial state n and 1..39 replications, so that most draws carry a
+        retired row through a step and compact a block with live rows left."""
         n0 = int(rng.integers(2, 31))
         x = float(n0) if rng.random() < 0.5 else n0 - float(rng.uniform(0.01, 0.99))
         params = EconomicParams(float(rng.uniform(0.2, 5.0)), 5.0, 1.0)
-        cfg = SimConfig(int(rng.integers(2**63)), int(rng.integers(1, 12)), params,
+        cfg = SimConfig(int(rng.integers(2**63)), int(rng.integers(1, 40)), params,
                         random_policy(rng, max_prefix=n0 + 1), strategy_from_x(x))
         return cfg, int(rng.integers(1, n0))
 
