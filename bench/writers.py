@@ -34,7 +34,8 @@ of a round alternating; each value is then the median of the rounds, one
 object per tree. On a host whose speed drifts, this compares two trees
 more fairly than two runs one after the other. A tree from before the
 streaming writers (DelayTable.to_csv returning the text, no
-cli._json_report) is timed through those older writers.
+cli._json_report) is timed through those older writers, and one whose
+DelayTable has no arrival_delays reads them from delay.arrival_delay.
 """
 from __future__ import annotations
 
@@ -82,7 +83,10 @@ def writers(cli, tmp: str) -> dict:
             ("rising_300", model.ServiceRatePolicy(np.linspace(1.0, 4.0, 300), 4.01), 300, 3.0)]}
     table = tables["n0_266"]
     report = eq.find_equilibria(params, case, (24.0, 46.0))
-    arrival = [(n, cli.delay_mod.arrival_delay(table, case, n)) for n in range(table.n0 + 1)]
+    if hasattr(table, "arrival_delays"):
+        arrival = list(enumerate(table.arrival_delays.tolist()))
+    else:  # a tree from before the solve returned its arrival delays
+        arrival = [(n, cli.delay_mod.arrival_delay(table, case, n)) for n in range(table.n0 + 1)]
     rows = eq.sweep_mixed(params, case, 1.0, 140.0, 1.0)
     mixed = eq.sweep_mixed(params, case, 24.0, 50.0, 0.05)
     os.makedirs(tmp, exist_ok=True)

@@ -9,7 +9,7 @@ from .model import (
     parse_instance,
     strategy_from_x,
 )
-from .delay import DelayTable, arrival_delay, solve_delay_table
+from .delay import DelayTable, solve_delay_table
 from .equilibrium import (
     CandidateDiagnostic,
     EquilibriumReport,
@@ -27,7 +27,6 @@ __all__ = [
     "parse_instance",
     "strategy_from_x",
     "DelayTable",
-    "arrival_delay",
     "solve_delay_table",
     "CandidateDiagnostic",
     "EquilibriumReport",

@@ -166,10 +166,8 @@ def cmd_delay(args, params, policy) -> int:
     with _target(args.out, "delay_table.csv") as fh:
         table.to_csv(fh)
     if args.out is not None:
-        # W(n) = W(n, n + 1) below the balk state: the table's first superdiagonal
-        arrivals = [*table.entries.diagonal(1).tolist(),
-                    delay_mod.arrival_delay(table, policy, table.n0)]
-        _write(args.out, "arrival_delay.csv", _csv(("n", "W"), enumerate(arrivals)))
+        _write(args.out, "arrival_delay.csv",
+               _csv(("n", "W"), enumerate(table.arrival_delays.tolist())))
     return EXIT_OK
 
 
@@ -227,12 +225,14 @@ def cmd_sweep(args, params, policy) -> int:
 def cmd_simulate(args, params, policy) -> int:
     check_table_size(args.x, "x")
     check_cells(args.reps, "--reps")
+    if args.x >= 0.0 and not 0 <= args.n <= math.ceil(args.x):  # strategy_from_x refuses x < 0
+        raise InstanceError(f"arrival state {args.n} outside [0, {math.ceil(args.x)}]")
     strategy = strategy_from_x(args.x)
     config = sim_mod.SimConfig(args.seed, args.reps, params, policy, strategy)
     est = sim_mod.simulate_sojourn(config, args.n)
     table = delay_mod.solve_delay_table(policy, strategy, params)
     record = {"mean": est.mean, "half_width_95": est.half_width_95, "samples": est.samples,
-              "analytic": delay_mod.arrival_delay(table, policy, args.n)}
+              "analytic": float(table.arrival_delays[args.n])}
     flag = {"degenerate_ci": True} if args.reps == 1 else {}
     _report(args.out, "simulate.csv", {"n": args.n, **record}, {**record, **flag})
     return EXIT_OK

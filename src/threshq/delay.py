@@ -38,19 +38,18 @@ _CSV_BLOCK = 1 << 11
 
 @dataclass(frozen=True)
 class DelayTable:
-    """Solved delays W(n, m) for 0 <= n < m <= n0 under one (policy, strategy) pair."""
+    """Solved delays W(n, m), 0 <= n < m <= n0, under one (policy, strategy) pair, and
+    the arrival delays W(n) of a customer who joins upon finding n present."""
 
     n0: int
     entries: np.ndarray  # shape (max(n0,1), n0+1); entries[n, m] = W(n, m), NaN elsewhere
+    # W(0..n0): W(n, n + 1) below n0; a joiner at n0 sees every later arrival balk
+    # until the next departure, so W(n0) = 1/mu_{n0+1} + W(n0-1, n0)
+    arrival_delays: np.ndarray
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-
-    def w(self, n: int, m: int) -> float:
-        """W(n, m); defined for 0 <= n < m <= n0."""
-        if not (0 <= n < m <= self.n0):
-            raise ValueError(f"W({n},{m}) is outside the table (n0={self.n0})")
-        return float(self.entries[n, m])
+        self.arrival_delays.setflags(write=False)
 
     def to_csv(self, file) -> None:
         """Write the table as CSV to the text stream ``file``: header n,m,W, then
@@ -144,7 +143,7 @@ def _rates(policy: ServiceRatePolicy, n0: int) -> np.ndarray:
 
 def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
                       params: EconomicParams) -> DelayTable:
-    """Solve the first-step equations for all W(n, m), 0 <= n < m <= n0.
+    """Solve the first-step equations for all W(n, m), 0 <= n < m <= n0, and W(0..n0).
 
     A balk state of 0 yields an empty table; a table over model.MAX_TABLE_CELLS
     raises ValueError.
@@ -155,7 +154,8 @@ def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
     if n0 > 0:
         probs = np.array(strategy.probs)[:, None]
         _sweep(params.arrival_rate, _rates(policy, n0), probs, W)
-    return DelayTable(n0, W)
+    at_balk = 1.0 / float(policy.rates(n0 + 1)[n0]) + (W[n0 - 1, n0] if n0 else 0.0)
+    return DelayTable(n0, W, np.append(W.diagonal(1), at_balk))
 
 
 def marginal_delays(policy: ServiceRatePolicy, xs, params: EconomicParams) -> np.ndarray:
@@ -180,20 +180,3 @@ def marginal_delays(policy: ServiceRatePolicy, xs, params: EconomicParams) -> np
         N = int(n0s[rows[0]])
         out[rows] = _sweep(params.arrival_rate, mu[:N + 1], threshold_probs(xs[rows], N))
     return out
-
-
-def arrival_delay(table: DelayTable, policy: ServiceRatePolicy, n: int) -> float:
-    """Expected sojourn W(n) of a customer who joins upon finding n present.
-
-    For n = n0 the joiner enters at the balk state: every later arrival balks
-    until the next departure, so the residual service is exponential with
-    rate mu_{n0+1}.
-    """
-    n0 = table.n0
-    if not (0 <= n <= n0):
-        raise ValueError(f"arrival state {n} outside [0, {n0}]")
-    if n <= n0 - 1:
-        return table.w(n, n + 1)
-    tail = table.w(n0 - 1, n0) if n0 >= 1 else 0.0
-    return 1.0 / float(policy.rates(n0 + 1)[n0]) + tail
-

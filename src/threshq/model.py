@@ -20,7 +20,7 @@ import numpy as np
 # 3161); a mixed sweep's grid points x (its balk state ceil(x_hi) + 1); a
 # simulation's replications; and a coupling's replications x (n + 1)
 MAX_TABLE_CELLS = 10**7
-# the smallest service rate an instance may give. A delay W(n, m) is at most
+# the smallest service rate a policy may hold. A delay W(n, m) is at most
 # (n + 1) / mu_1 with n + 1 <= 3,162 < 2^12, and a coupling time at most n + 1
 # requirements (each below 2^6) served at mu_1 or faster, so both stay below
 # 2^18 / mu_1 <= 2^1018, short of the 2^1024 where floats overflow. Over
@@ -90,8 +90,8 @@ class ServiceRatePolicy:
         if not (prefix[-1:] <= tail).all():
             raise InstanceError("prefix rates must not exceed the tail rate")
         low = float(prefix[0]) if len(prefix) else tail  # the rates are ordered now
-        if not math.isfinite(1.0 / low):  # a subnormal rate: 1/mu would overflow
-            raise InstanceError(f"service rate {low!r} is too small: its reciprocal overflows")
+        if low < MIN_RATE:
+            raise InstanceError(f"service rate {low!r} is too small: below the floor 2^-1000")
 
     @property
     def threshold_form(self) -> tuple[int, float, float] | None:
@@ -233,9 +233,6 @@ def parse_instance(doc: dict) -> tuple[EconomicParams, ServiceRatePolicy]:
                                             _finite(pol["mu_high"], "policy mu_high"))
     else:
         raise InstanceError(f"policy keys must be {sorted(_PREFIX_KEYS)} or {sorted(_TWO_RATE_KEYS)}, got {sorted(keys)}")
-    low = float(policy.rates(1)[0])  # the rates are ordered
-    if not low >= MIN_RATE:
-        raise InstanceError(f"service rate {low!r} is too small: below the floor 2^-1000")
     return params, policy
 
 

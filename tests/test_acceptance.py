@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from threshq.cli import main as cli_main
-from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
+from threshq.delay import marginal_delays, solve_delay_table
 from threshq.equilibrium import find_equilibria
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
@@ -100,7 +100,7 @@ def test_criterion_3_constant_rate_reduction():
         n0 = int(rng.integers(1, 9))
         table = solve_delay_table(policy, strategy_from_x(n0), p)
         for n in range(n0 + 1):
-            w = arrival_delay(table, policy, n)
+            w = table.arrival_delays[n]
             assert abs(w - (n + 1) / mu) <= 1e-12
     assert mismatches == 0
     report("3 (constant-rate equilibrium set, 520 draws)")
@@ -116,7 +116,7 @@ def test_criterion_4_recursion_vs_dense_solve():
         table = solve_delay_table(policy, strategy, params)
         ref = dense_delay_solve(policy, strategy, params)
         for (n, m), v in ref.items():
-            assert abs(table.w(n, m) - v) <= 1e-10 * abs(v)
+            assert abs(table.entries[n, m] - v) <= 1e-10 * abs(v)
     report("4 (backward recursion vs dense solve, 200 instances)")
 
 
@@ -128,7 +128,7 @@ def test_criterion_5_delay_bounds():
         strategy = random_threshold_strategy(rng, n0_max=12)
         table = solve_delay_table(policy, strategy, random_params(rng))
         for n in range(table.n0):
-            w = table.w(n, n + 1)
+            w = table.entries[n, n + 1]
             if not ((n + 1) / policy.max_rate - 1e-12 <= w <= (n + 1) / policy.rates(1)[0] + 1e-12):
                 violations += 1
     assert violations == 0
@@ -141,7 +141,7 @@ def test_criterion_6a_monotone_delay():
     for _ in range(1000):
         table = solve_delay_table(random_policy(rng), random_threshold_strategy(rng, n0_max=12),
                                   random_params(rng))
-        diag = [table.w(n, n + 1) for n in range(table.n0)]
+        diag = [table.entries[n, n + 1] for n in range(table.n0)]
         violations += sum(1 for a, b in zip(diag, diag[1:]) if b < a - 1e-12)
     assert violations == 0
     report("6a (monotone delay in queue position, 1000 instances)")
@@ -240,7 +240,7 @@ def test_criterion_9_monte_carlo_agreement():
         cfg = SimConfig(9000 + i, 10_000, params, policy, strategy)
         est = simulate_sojourn(cfg, n)
         table = solve_delay_table(policy, strategy, params)
-        analytic = arrival_delay(table, policy, n)
+        analytic = table.arrival_delays[n]
         se = est.half_width_95 / 1.959963984540054
         # a path with no random holding gives se ~ 0, where rounding dominates
         if abs(est.mean - analytic) > max(3 * se, 1e-12 * analytic):

@@ -506,6 +506,8 @@ class TestSimulationInputBoundary:
          "over the limit"),
         ("verify-coupling", ["--n", "4", "--n0", "5", "--reps", "2000001"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "1" + "0" * 400], "--n0 must be a finite"),
+        ("simulate", ["--n", "-1", "--x", "3"], "outside"),
+        ("simulate", ["--n", "4", "--x", "3"], "outside"),
     ])
     def test_exit_2_before_simulating(self, capsys, case_study_instance, no_simulation,
                                       command, args, message):

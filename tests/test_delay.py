@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threshq import delay, model
-from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
+from threshq.delay import marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
 from _oracles import UnsnappedThreshold, closed_form_below_T, dense_delay_solve, loop_delay_solve
@@ -25,22 +25,22 @@ class TestSolveDelayTable:
     def test_hand_unrolled_values(self, small_case):
         policy, strategy, params = small_case
         t = solve_delay_table(policy, strategy, params)
-        assert t.w(0, 2) == pytest.approx(0.5, abs=1e-15)
-        assert t.w(0, 1) == pytest.approx(0.75, abs=1e-15)
-        assert t.w(1, 2) == pytest.approx(1.25, abs=1e-15)
+        assert t.entries[0, 2] == pytest.approx(0.5, abs=1e-15)
+        assert t.entries[0, 1] == pytest.approx(0.75, abs=1e-15)
+        assert t.entries[1, 2] == pytest.approx(1.25, abs=1e-15)
 
     def test_threshold_one_is_single_service(self):
         policy = ServiceRatePolicy((1.5, 2.0), 4.0)
         params = EconomicParams(2.0, 1.0, 1.0)
         t = solve_delay_table(policy, strategy_from_x(1), params)
-        assert t.w(0, 1) == pytest.approx(1.0 / 1.5, abs=1e-15)
+        assert t.entries[0, 1] == pytest.approx(1.0 / 1.5, abs=1e-15)
 
     def test_empty_table_for_always_balk(self):
         t = solve_delay_table(ServiceRatePolicy.constant(1.0), strategy_from_x(0),
                               EconomicParams(1.0, 1.0, 1.0))
         assert t.n0 == 0
-        with pytest.raises(ValueError):
-            t.w(0, 1)
+        assert t.entries.shape == (1, 1) and np.isnan(t.entries[0, 0])  # no W(n, m) at all
+        assert t.arrival_delays.tolist() == [1.0]  # a joiner at 0 is served alone
 
     def test_constant_rate_reduction(self):
         # with a constant rate the delay is (n+1)/mu regardless of the strategy
@@ -50,14 +50,14 @@ class TestSolveDelayTable:
             strat = strategy_from_x(x)
             t = solve_delay_table(policy, strat, params)
             for n in range(t.n0):
-                assert t.w(n, n + 1) == pytest.approx((n + 1) / 2.0, abs=1e-12)
+                assert t.entries[n, n + 1] == pytest.approx((n + 1) / 2.0, abs=1e-12)
 
     def test_matches_dense_solve(self, small_case):
         policy, strategy, params = small_case
         t = solve_delay_table(policy, strategy, params)
         ref = dense_delay_solve(policy, strategy, params)
         for (n, m), v in ref.items():
-            assert t.w(n, m) == pytest.approx(v, rel=1e-12)
+            assert t.entries[n, m] == pytest.approx(v, rel=1e-12)
 
     def test_matches_dense_solve_randomized(self):
         rng = np.random.default_rng(20240817)
@@ -68,7 +68,7 @@ class TestSolveDelayTable:
             t = solve_delay_table(policy, strategy, params)
             ref = dense_delay_solve(policy, strategy, params)
             for (n, m), v in ref.items():
-                assert abs(t.w(n, m) - v) <= 1e-10 * abs(v)
+                assert abs(t.entries[n, m] - v) <= 1e-10 * abs(v)
 
     def test_entries_finite_positive(self):
         rng = np.random.default_rng(7)
@@ -77,7 +77,7 @@ class TestSolveDelayTable:
                                   random_params(rng))
             for n in range(t.n0):
                 for m in range(n + 1, t.n0 + 1):
-                    assert math.isfinite(t.w(n, m)) and t.w(n, m) > 0.0
+                    assert math.isfinite(t.entries[n, m]) and t.entries[n, m] > 0.0
 
     def test_extreme_rate_bounds_on_arrival_delays(self):
         rng = np.random.default_rng(99)
@@ -87,7 +87,7 @@ class TestSolveDelayTable:
             params = random_params(rng)
             t = solve_delay_table(policy, strategy, params)
             for n in range(t.n0):
-                w = t.w(n, n + 1)
+                w = t.entries[n, n + 1]
                 assert (n + 1) / policy.max_rate - 1e-12 <= w <= (n + 1) / policy.rates(1)[0] + 1e-12
 
     def test_monotone_in_n(self):
@@ -95,7 +95,7 @@ class TestSolveDelayTable:
         for _ in range(50):
             t = solve_delay_table(random_policy(rng), random_threshold_strategy(rng),
                                   random_params(rng))
-            diag = [t.w(n, n + 1) for n in range(t.n0)]
+            diag = [t.entries[n, n + 1] for n in range(t.n0)]
             assert all(b >= a - 1e-12 for a, b in zip(diag, diag[1:]))
 
     def test_balk_boundary_simplification(self, small_case):
@@ -108,9 +108,10 @@ class TestSolveDelayTable:
             t = solve_delay_table(policy, strategy, params)
             n0 = t.n0
             mu = policy.rates(n0)[n0 - 1]
-            assert t.w(0, n0) == pytest.approx(1.0 / mu, abs=1e-12)
+            assert t.entries[0, n0] == pytest.approx(1.0 / mu, abs=1e-12)
             for n in range(1, n0):
-                assert t.w(n, n0) == pytest.approx(1.0 / mu + t.w(n - 1, n0 - 1), abs=1e-12)
+                assert t.entries[n, n0] == pytest.approx(1.0 / mu + t.entries[n - 1, n0 - 1],
+                                                         abs=1e-12)
 
     def test_two_rate_specialization_residuals(self):
         # above the service threshold the equations use mu_h, below mu_l;
@@ -128,10 +129,10 @@ class TestSolveDelayTable:
                 pm = strategy.probs[m]
                 rhs = 1.0 / (lam * pm + mu)
                 if m < n0:
-                    rhs += lam * pm / (lam * pm + mu) * t.w(n, m + 1)
+                    rhs += lam * pm / (lam * pm + mu) * t.entries[n, m + 1]
                 if n >= 1:
-                    rhs += mu / (lam * pm + mu) * t.w(n - 1, m - 1)
-                assert abs(t.w(n, m) - rhs) <= 1e-12
+                    rhs += mu / (lam * pm + mu) * t.entries[n - 1, m - 1]
+                assert abs(t.entries[n, m] - rhs) <= 1e-12
 
 
 class TestWavefrontKernel:
@@ -188,7 +189,8 @@ class TestWavefrontKernel:
         rng = np.random.default_rng(33)
         for n0 in (0, 1, 2, 7, 30):
             strategy = next(iter(self.strategies(rng, n0)))
-            t = solve_delay_table(random_policy(rng), strategy, random_params(rng))
+            policy = random_policy(rng)
+            t = solve_delay_table(policy, strategy, random_params(rng))
             assert t.entries.shape == (max(n0, 1), n0 + 1)
             with pytest.raises(ValueError):
                 t.entries[0, 0] = 1.0
@@ -196,6 +198,12 @@ class TestWavefrontKernel:
             inside = (n < m) & (m <= n0)
             assert np.all(np.isnan(t.entries[~inside]))
             assert np.all(np.isfinite(t.entries[inside]))
+            with pytest.raises(ValueError):
+                t.arrival_delays[0] = 1.0
+            # W(n) = W(n, n + 1) below n0, and at n0 the balk-state term, bit for bit
+            at_balk = (1.0 / float(policy.rates(n0 + 1)[n0])
+                       + (t.entries[n0 - 1, n0] if n0 else 0.0))
+            assert t.arrival_delays.tolist() == [*t.entries.diagonal(1).tolist(), at_balk]
 
     def test_table_over_cell_budget_rejected(self):
         n0 = math.isqrt(model.MAX_TABLE_CELLS) + 1
@@ -230,23 +238,23 @@ class TestArrivalDelay:
     def test_balk_state_branch(self, small_case):
         policy, strategy, params = small_case
         t = solve_delay_table(policy, strategy, params)
-        assert arrival_delay(t, policy, 2) == pytest.approx(0.5 + 1.25, abs=1e-15)
+        assert t.arrival_delays[2] == pytest.approx(0.5 + 1.25, abs=1e-15)
 
     def test_interior_states(self, small_case):
         policy, strategy, params = small_case
         t = solve_delay_table(policy, strategy, params)
-        assert arrival_delay(t, policy, 0) == pytest.approx(0.75)
-        assert arrival_delay(t, policy, 1) == pytest.approx(1.25)
+        assert t.arrival_delays[0] == pytest.approx(0.75)
+        assert t.arrival_delays[1] == pytest.approx(1.25)
 
     def test_threshold_one(self):
         policy = ServiceRatePolicy.constant(4.0)
         t = solve_delay_table(policy, strategy_from_x(1), EconomicParams(1.0, 1.0, 1.0))
-        assert arrival_delay(t, policy, 0) == pytest.approx(0.25)
+        assert t.arrival_delays[0] == pytest.approx(0.25)
 
     def test_always_balk_joiner(self):
         policy = ServiceRatePolicy((1.5,), 2.0)
         t = solve_delay_table(policy, strategy_from_x(0), EconomicParams(1.0, 1.0, 1.0))
-        assert arrival_delay(t, policy, 0) == pytest.approx(1.0 / 1.5)
+        assert t.arrival_delays[0] == pytest.approx(1.0 / 1.5)
 
     def test_two_rate_at_service_threshold(self):
         # joining at n0 = T switches the residual service to the high rate:
@@ -254,20 +262,12 @@ class TestArrivalDelay:
         policy = ServiceRatePolicy.two_rate(5, 2.0, 5.0)
         params = EconomicParams(3.0, 8.5, 1.0)
         t = solve_delay_table(policy, strategy_from_x(5), params)
-        assert arrival_delay(t, policy, 5) == pytest.approx(1.0 / 5.0 + 5 / 2.0, abs=1e-12)
-
-    def test_out_of_range_rejected(self, small_case):
-        policy, strategy, params = small_case
-        t = solve_delay_table(policy, strategy, params)
-        with pytest.raises(ValueError):
-            arrival_delay(t, policy, 3)
-        with pytest.raises(ValueError):
-            arrival_delay(t, policy, -1)
+        assert t.arrival_delays[5] == pytest.approx(1.0 / 5.0 + 5 / 2.0, abs=1e-12)
 
     def test_arrival_delays_vector(self, small_case):
         policy, strategy, params = small_case
         t = solve_delay_table(policy, strategy, params)
-        assert [arrival_delay(t, policy, n) for n in range(t.n0 + 1)] == [
+        assert [t.arrival_delays[n] for n in range(t.n0 + 1)] == [
             pytest.approx(v) for v in (0.75, 1.25, 1.75)]
 
 
@@ -291,7 +291,8 @@ class TestClosedFormBelowT:
             strat = strategy_from_x(x)
             t = solve_delay_table(policy, strat, params)
             for n in range(t.n0):
-                assert t.w(n, n + 1) == pytest.approx(closed_form_below_T(policy, n), abs=1e-12)
+                assert t.entries[n, n + 1] == pytest.approx(closed_form_below_T(policy, n),
+                                                            abs=1e-12)
 
 
 class TestCsvExport:

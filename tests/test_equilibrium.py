@@ -18,7 +18,7 @@ from threshq.equilibrium import (
 )
 from threshq import cli
 from threshq import equilibrium as eq_mod
-from threshq.delay import arrival_delay, marginal_delays, solve_delay_table
+from threshq.delay import marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, ServiceRatePolicy, strategy_from_x
 
 from _oracles import (
@@ -43,7 +43,7 @@ def params_R(R, lam=3.0, C=1.0):
 def gap(n, x, p, pol):
     """r_tilde - W(n): the net benefit per unit waiting cost of joining at
     state n when everyone else follows threshold x."""
-    return p.r_tilde - arrival_delay(solve_delay_table(pol, strategy_from_x(x), p), pol, n)
+    return p.r_tilde - solve_delay_table(pol, strategy_from_x(x), p).arrival_delays[n]
 
 
 def diagnostic(n0, p, pol):
@@ -327,7 +327,7 @@ class TestMarginalDelay:
         for n0 in (10, 24, 30):
             table = solve_delay_table(self.POL, strategy_from_x(n0), p)
             assert marginal_delays(self.POL, [float(n0)], p)[0] == pytest.approx(
-                table.w(n0 - 1, n0), abs=1e-14)
+                table.entries[n0 - 1, n0], abs=1e-14)
 
     def test_continuum_value_below_threshold(self):
         # r mu_l = 17 integer: w is exactly r_tilde on (16, 17)

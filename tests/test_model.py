@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from threshq.model import (
     MAX_TABLE_CELLS,
+    MIN_RATE,
     EconomicParams,
     InstanceError,
     JoinStrategy,
@@ -94,9 +95,14 @@ class TestServiceRatePolicy:
                 ServiceRatePolicy((0.5, bad), 1.0)
 
     def test_rate_with_overflowing_reciprocal_rejected(self):
-        assert ServiceRatePolicy((sys.float_info.min,), 1.0).prefix[0] == sys.float_info.min
-        for bad in (1.0 / sys.float_info.max, 1e-310, 5e-324):  # the first rounds 1/bad up to inf
-            with pytest.raises(InstanceError, match=f"service rate {bad!r} is too small"):
+        # every policy holds its rates to the floor model.MIN_RATE = 2^-1000, which
+        # lies above the rates whose reciprocals (or their multiples) overflow
+        assert ServiceRatePolicy((MIN_RATE,), 1.0).prefix[0] == MIN_RATE
+        assert ServiceRatePolicy.constant(MIN_RATE).max_rate == MIN_RATE
+        for bad in (math.nextafter(MIN_RATE, 0.0), 2.0**-1020, sys.float_info.min,
+                    1.0 / sys.float_info.max, 1e-310, 5e-324):  # 1/(1/max) rounds up to inf
+            with pytest.raises(InstanceError, match=f"service rate {bad!r} is too small: "
+                                                    "below the floor 2\\^-1000$"):
                 ServiceRatePolicy((bad,), 1.0)
             with pytest.raises(InstanceError, match="too small"):
                 ServiceRatePolicy((), bad)
@@ -351,5 +357,5 @@ class TestPackage:
         for gone in ("net_benefit", "best_response", "is_pure_equilibrium",
                      "pure_marginal_delay", "arrival_delays", "balk_upper_bound",
                      "marginal_delay", "pure_candidate_range", "enumerate_pure_equilibria",
-                     "find_mixed_equilibria", "threshold_policy_below_T"):
+                     "find_mixed_equilibria", "threshold_policy_below_T", "arrival_delay"):
             assert not hasattr(threshq, gone)

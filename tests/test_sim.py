@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from threshq.delay import arrival_delay, solve_delay_table
+from threshq.delay import solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 from threshq import sim
 from threshq.sim import SimConfig, run_coupling, simulate_sojourn
@@ -41,7 +41,7 @@ class TestSimulateSojourn:
         cfg = SimConfig(5, 20000, params, policy, strategy_from_x(2))
         est = simulate_sojourn(cfg, 2)
         table = solve_delay_table(policy, strategy_from_x(2), params)
-        assert abs(est.mean - arrival_delay(table, policy, 2)) <= 3 * est.half_width_95 / 1.96
+        assert abs(est.mean - table.arrival_delays[2]) <= 3 * est.half_width_95 / 1.96
 
     def test_low_rate_regime_of_two_rate_policy(self):
         policy = ServiceRatePolicy.two_rate(10, 2.0, 5.0)
@@ -148,7 +148,7 @@ class TestSimulateSojourn:
                         ServiceRatePolicy.two_rate(8, 2.0, 5.0), strategy_from_x(10.3))
         table = solve_delay_table(cfg.policy, cfg.strategy, cfg.params)
         first, second = exact_sojourn_moments(cfg, 5)
-        assert first == pytest.approx(arrival_delay(table, cfg.policy, 5), rel=1e-13)
+        assert first == pytest.approx(table.arrival_delays[5], rel=1e-13)
         assert second > first * first
 
     @pytest.mark.parametrize("k", [-1000, -500, 0, 500, 1000])
@@ -225,7 +225,7 @@ class TestRunCoupling:
         gaps = out.t_b[:, -1] - out.t_a[:, -1]
         assert np.all(gaps >= 0.0)
         table = solve_delay_table(policy, strategy_from_x(5.0), params)
-        expected = table.w(n, n + 1) - table.w(n - 1, n)
+        expected = table.entries[n, n + 1] - table.entries[n - 1, n]
         se = gaps.std(ddof=1) / np.sqrt(len(gaps))
         assert abs(gaps.mean() - expected) <= 3 * se
 
@@ -237,7 +237,8 @@ class TestRunCoupling:
         strategy = strategy_from_x(x)
         out = run_coupling(SimConfig(31, 8000, params, policy, strategy), n)
         table = solve_delay_table(policy, strategy, params)
-        for times, w in ((out.t_a[:, -1], table.w(n - 1, n)), (out.t_b[:, -1], table.w(n, n + 1))):
+        for times, w in ((out.t_a[:, -1], table.entries[n - 1, n]),
+                         (out.t_b[:, -1], table.entries[n, n + 1])):
             se = times.std(ddof=1) / np.sqrt(len(times))
             assert abs(times.mean() - w) <= 3 * se
 

@@ -80,12 +80,13 @@ def test_delay_csv_matches_loop_oracle(policy, x, lam):
 
 
 def hand_built(n0, runs):
-    """DelayTable(n0, entries) whose entries W(n, m), read n-major, are the
-    runs (value, length) tiled over the triangle 0 <= n < m <= n0."""
+    """DelayTable(n0, entries, arrival_delays) whose entries W(n, m), read
+    n-major, are the runs (value, length) tiled over the triangle
+    0 <= n < m <= n0; the arrival delays, which no CSV of the table reads, are NaN."""
     mask = np.arange(n0 + 1) > np.arange(max(n0, 1))[:, None]
     entries = np.full(mask.shape, np.nan)
     entries[mask] = np.resize([v for v, k in runs for _ in range(k)], mask.sum())
-    return DelayTable(n0, entries)
+    return DelayTable(n0, entries, np.full(n0 + 1, np.nan))
 
 
 @WRITERS
