@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 bench/report_diff.py BASE/src src [--n 400] [--seed 1]
 
-Imports each tree's threshq.cli into this one process (writers.load) and
+Imports each tree's threshq.cli into this one process (layers.load) and
 runs ``equilibria`` through its ``cli.main`` on the same instances: N
 instances drawn from the seed, a quarter each of two-rate, constant,
 general and low-edge ones, each with no --mixed-range, a drawn one and
@@ -34,7 +34,7 @@ import tempfile
 
 import numpy as np
 
-from writers import load
+from layers import load
 
 KINDS = ("two-rate", "constant", "general", "low-edge")
 
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=400, help="instances (default 400)")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    clis = [load(src) for src in args.trees]
+    clis = [load(src).cli for src in args.trees]
     rng = np.random.default_rng(args.seed)
     same = total = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -225,8 +225,6 @@ def cmd_sweep(args, params, policy) -> int:
 def cmd_simulate(args, params, policy) -> int:
     check_table_size(args.x, "x")
     check_cells(args.reps, "--reps")
-    if args.x >= 0.0 and not 0 <= args.n <= math.ceil(args.x):  # strategy_from_x refuses x < 0
-        raise InstanceError(f"arrival state {args.n} outside [0, {math.ceil(args.x)}]")
     strategy = strategy_from_x(args.x)
     config = sim_mod.SimConfig(args.seed, args.reps, params, policy, strategy)
     est = sim_mod.simulate_sojourn(config, args.n)

@@ -506,14 +506,28 @@ class TestSimulationInputBoundary:
          "over the limit"),
         ("verify-coupling", ["--n", "4", "--n0", "5", "--reps", "2000001"], "over the limit"),
         ("verify-coupling", ["--n", "1", "--n0", "1" + "0" * 400], "--n0 must be a finite"),
-        ("simulate", ["--n", "-1", "--x", "3"], "outside"),
-        ("simulate", ["--n", "4", "--x", "3"], "outside"),
     ])
     def test_exit_2_before_simulating(self, capsys, case_study_instance, no_simulation,
                                       command, args, message):
         code, out, err = run_cli(capsys, command, "--instance", str(case_study_instance), *args)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "-1", "--x", "3"], "arrival state -1 outside [0, 3]"),
+    (["--n", "4", "--x", "3"], "arrival state 4 outside [0, 3]"),
+    (["--n", "4", "--x", "3", "--reps", "0"], "replications must be >= 1"),
+], ids=["n_-1", "n_4", "n_4_reps_0"])
+def test_simulate_bad_input_exit_2_before_drawing(capsys, monkeypatch, case_study_instance,
+                                                  args, message):
+    # simulate_sojourn refuses an arrival state outside [0, ceil(x)] before its first draw
+    def refuse(*args):
+        raise AssertionError("a random generator was built")
+    monkeypatch.setattr(sim, "_generator", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--instance", str(case_study_instance), *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, args", [
