@@ -25,6 +25,11 @@ Delay kernel and equilibrium search:
   14..60 and 49..200; the level-wise ones keep 55..60 and 195..200).
 - find_equilibria.pure.case_study, .two_rate_rM_300: the pure scan on the
   case study at reward 8.5, and at reward 60 (r_tilde M = 300).
+- marginal_delays.spread_k4_1_140: the batch of the 140 thresholds 1..140
+  that the solver workload's `sweep --kind pure_n0 --range 1:140` solves,
+  on its policy shape: 4 prefix rates (1.2, 2, 2.6, 3.1) below the tail
+  3.5, lambda = 1.7, so the band is 4 wide and each row past it is
+  (n + 1)/M.
 - find_equilibria.mixed_k_{25,45}: the case study at reward 20 with the
   mixed range one unit interval (k, k+1]: the one solve of the 36
   candidates 65..100 (the loose bounds scanned 62, 39..100), with no root to
@@ -183,6 +188,9 @@ def kernel(tq) -> dict:
         **{f"solve_delay_table.n0_{n0}.s": part(tq.delay.solve_delay_table, case,
                                                 model.strategy_from_x(n0), params)
            for n0 in (25, 100, 300, 1000)},
+        "marginal_delays.spread_k4_1_140.s": part(
+            tq.delay.marginal_delays, model.ServiceRatePolicy((1.2, 2.0, 2.6, 3.1), 3.5),
+            np.arange(1.0, 141.0), model.EconomicParams(1.7, 10.0, 1.0)),
         **{f"find_equilibria.mixed_k_{k}.s": part(find, far, case, (float(k), k + 1.0))
            for k in (25, 45)},
         "find_equilibria.mixed_wide.s": part(find, params, case, (0.5, 300.0)),

@@ -5,8 +5,16 @@ customer with n customers ahead out of m total, when all future arrivals
 follow the given strategy. The defining first-step system is triangular:
 W(n, m) reads only W(n, m+1) and W(n-1, m-1), and both lie on the
 anti-diagonal wavefront c + 1, where c = m - 2n. So the system is solved one
-wavefront at a time, c = n0 down to 2 - n0, each wavefront one numpy
-expression over strided slices; no general linear solver is needed.
+wavefront at a time, each wavefront one numpy expression over strided
+slices; no general linear solver is needed.
+
+Only a band of it needs solving. Let K be the number of prefix rates below
+the tail rate M. The m - n - 1 customers behind the tagged one never leave
+before it does, so once m - n > K every state it visits has more than K
+present and is served at M: W(n, m) = (n + 1)/M exactly, whatever the
+strategy. The kernel solves the band 1 <= m - n <= K, wavefronts c = K down
+to 2 - n0, with its buffers seeded by (n + 1)/M, and a table holds
+(n + 1.0)/M past the band.
 
 The same kernel solves a batch of threshold strategies at once: their join
 probabilities clip(x - m, 0, 1) run to the largest balk state ceil(x) and
@@ -16,8 +24,7 @@ only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
 
 A table's CSV streams to its file in blocks of rows (DelayTable.to_csv), so
 writing it holds one block's text, not the table's. Most of a row's text
-repeats: past m = n + K (K prefix rates) the tagged customer's remaining path
-sees only the tail rate M, so W(n, m) = (n + 1) / M whatever m, and the
+repeats, since past the band each row holds the one value (n + 1)/M, and the
 writer formats each run of bit-identical entries once.
 """
 from __future__ import annotations
@@ -59,12 +66,13 @@ class DelayTable:
         from a single ``%`` over a template joined from per-m pieces, so the
         writer holds one block's text at a time: memory follows the table
         and not its text, which is about 141 MB at the largest table
-        check_table_size allows. Past m = n + K (K prefix rates) a tagged
-        customer's path sees only the tail rate, so W(n, m) = (n + 1) / M
-        for most of a row and a block repeats few bit patterns; where over
-        half its entries repeat their neighbour, each run of equal bits is
-        formatted once and its text repeated. Bits, not floats, are compared:
-        -0.0 and 0.0 print differently, and NaN equals nothing.
+        check_table_size allows. Past m = n + K (K prefix rates below the
+        tail) a row holds the exact W(n, m) = (n + 1)/M, bit for bit the
+        same value, so for most rows a block repeats few bit patterns;
+        where over half its entries repeat their neighbour, each run of
+        equal bits is formatted once and its text repeated. Bits, not
+        floats, are compared: -0.0 and 0.0 print differently, and NaN
+        equals nothing.
         """
         file.write("n,m,W\n")
         n0 = self.n0
@@ -88,22 +96,35 @@ class DelayTable:
             a = b
 
 
-def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
+def _band(policy: ServiceRatePolicy) -> int:
+    """K, the number of prefix rates below the tail rate M: every state above K
+    is served at M. The prefix is nondecreasing, so this is a binary search."""
+    return int(np.searchsorted(policy.prefix, policy.max_rate))
+
+
+def _sweep(lam: float, policy: ServiceRatePolicy, probs: np.ndarray,
            table: np.ndarray | None = None) -> np.ndarray:
-    """Wavefronts c = N .. 2 - N for B strategies padded to balk state N.
+    """Wavefronts c = min(K, N) .. 2 - N over the band 1 <= m - n <= K, for B
+    strategies padded to balk state N.
 
     ``probs[m, b]`` is strategy b's join probability at state m (zero from
-    its balk state on) and ``mu[m]`` the rate with m present. Each entry is
-    1/den + (lp/den) W(n, m+1) + (mu/den) W(n-1, m-1), lp = lam p_m,
-    den = lp + mu_m, in that order. Arrays are flat and n-major, B entries
-    per n, so a wavefront is one contiguous slice: the buffers hold
-    n = -1..N, zero where an entry falls outside the triangle, and the
+    its balk state on). Each entry is 1/den + (lp/den) W(n, m+1) +
+    (mu/den) W(n-1, m-1), lp = lam p_m, den = lp + mu_m, in that order.
+    Past the band, m - n > K, the tagged customer has more than K present
+    until it leaves, since those behind it stay, so W(n, m) = (n + 1)/M
+    exactly; both buffers are seeded with that value at n's index, where
+    the band's edge m - n = K reads it before any wavefront writes n.
+    Arrays are flat and n-major, B entries per n, so a wavefront is one
+    contiguous slice: the buffers hold n = -1..N (zero at n = -1), and the
     coefficients are split by the parity of m. Returns W(n0-1, n0) per
-    strategy; with ``table`` (B = 1) entry (n, m = c + 2n) is also written
-    at flat index c + n (N + 3).
+    strategy; with ``table`` (B = 1) band entry (n, m = c + 2n) is also
+    written at flat index c + n (N + 3).
     """
     N, B = probs.shape[0] - 1, probs.shape[1]
     n0s = np.count_nonzero(probs, axis=0)
+    K = min(_band(policy), N)
+    mu = policy.rates(N)
+    mu = np.concatenate((mu[:1], mu))  # index m holds mu_m; index 0, read by no entry, mu_1
     lp = lam * probs
     den = lp + mu[:, None]
     # per coefficient the rows m = 0, 2, ... then m = 1, 3, ..., flattened
@@ -112,12 +133,13 @@ def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
     # per wavefront c: entries n = lo..hi at buffer index [u, v) + B, reading
     # n - 1 at [u, v); coefficients from k, as m = c + 2 lo is row c // 2 + lo
     # of parity c & 1; table entries at c + lo (N + 3) .. c + hi (N + 3)
-    c = np.arange(N, 1 - N, -1)
-    lo, hi = np.maximum(1 - c, 0), (N - c) // 2
+    c = np.arange(K, 1 - N, -1)
+    lo, hi = np.maximum(1 - c, 0), np.minimum((N - c) // 2, K - c)
     u, v = lo * B, (hi + 1) * B
     k = (c // 2 + lo) * B + (c & 1) * ((N + 2) // 2 * B)
     bounds = u, v, u + B, v + B, k, k + v - u, v - u, c + lo * (N + 3), c + hi * (N + 3) + 1
-    bufs = np.zeros((2, (N + 2) * B))
+    bufs = np.empty((2, (N + 2) * B))
+    bufs[:] = np.repeat(np.arange(N + 2.0) / policy.max_rate, B)  # index n + 1: (n + 1)/M
     prev, cur = bufs
     tmp = np.empty((N // 2 + 1) * B)
     flat = None if table is None else table.reshape(-1)
@@ -130,30 +152,28 @@ def _sweep(lam: float, mu: np.ndarray, probs: np.ndarray,
         if flat is not None:
             flat[s:e:N + 3] = dst
         prev, cur = cur, prev
-    # wavefront j = N - c, counted from 0, wrote bufs[(j + 1) % 2]; strategy b's
-    # last is j = N + n0 - 2
-    return bufs[(N + n0s - 1) % 2, n0s * B + np.arange(B)]
-
-
-def _rates(policy: ServiceRatePolicy, n0: int) -> np.ndarray:
-    """Index m holds mu_m for 1 <= m <= n0; index 0, which no entry reads, holds mu_1."""
-    mu = policy.rates(max(n0, 1))
-    return np.concatenate((mu[:1], mu[:n0]))
+    # wavefront j = K - c, counted from 0, wrote bufs[(j + 1) % 2]; strategy b's
+    # last is j = K + n0 - 2 (at K = 0 both buffers hold the seed)
+    return bufs[(K + n0s - 1) % 2, n0s * B + np.arange(B)]
 
 
 def solve_delay_table(policy: ServiceRatePolicy, strategy: JoinStrategy,
                       params: EconomicParams) -> DelayTable:
     """Solve the first-step equations for all W(n, m), 0 <= n < m <= n0, and W(0..n0).
 
-    A balk state of 0 yields an empty table; a table over model.MAX_TABLE_CELLS
-    raises ValueError.
+    Entries past the band, m - n > K, are (n + 1.0)/M. A balk state of 0
+    yields an empty table; a table over model.MAX_TABLE_CELLS raises
+    ValueError.
     """
     n0 = strategy.balk_state
     check_table_size(n0, "balk state")
-    W = np.full((max(n0, 1), n0 + 1), np.nan)
+    # row n: NaN (below the triangle, then the band) up to m = n + K, then (n + 1)/M
+    n = np.arange(max(n0, 1))
+    edge = np.minimum(n + _band(policy), n0) + 1
+    W = np.repeat(np.column_stack((np.full(len(n), np.nan), (n + 1.0) / policy.max_rate)).ravel(),
+                  np.column_stack((edge, n0 + 1 - edge)).ravel()).reshape(len(n), n0 + 1)
     if n0 > 0:
-        probs = np.array(strategy.probs)[:, None]
-        _sweep(params.arrival_rate, _rates(policy, n0), probs, W)
+        _sweep(params.arrival_rate, policy, np.array(strategy.probs)[:, None], W)
     at_balk = 1.0 / float(policy.rates(n0 + 1)[n0]) + (W[n0 - 1, n0] if n0 else 0.0)
     return DelayTable(n0, W, np.append(W.diagonal(1), at_balk))
 
@@ -173,10 +193,9 @@ def marginal_delays(policy: ServiceRatePolicy, xs, params: EconomicParams) -> np
     out = np.zeros(len(xs))
     order = np.argsort(-n0s, kind="stable")
     order = order[n0s[order] > 0]
-    mu = _rates(policy, int(n0s.max(initial=0)))
-    size = max(1, _CHUNK_CELLS // (len(mu) + 1))
+    size = max(1, _CHUNK_CELLS // (int(n0s.max(initial=0)) + 2))
     for start in range(0, len(order), size):
         rows = order[start:start + size]
         N = int(n0s[rows[0]])
-        out[rows] = _sweep(params.arrival_rate, mu[:N + 1], threshold_probs(xs[rows], N))
+        out[rows] = _sweep(params.arrival_rate, policy, threshold_probs(xs[rows], N))
     return out

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's wavefront kernel: the dense oracle
 assembles the full first-step linear system and hands it to a generic
-solver; the loop oracle solves the triangular system one entry at a time;
+solver; the loop oracle solves the triangular system one entry at a time
+on its band, and past it writes the exact (n + 1)/M;
 the paper's closed form gives the pure equilibria below a two-rate
 policy's service threshold from r_tilde * mu_low alone; the
 below-threshold brute force checks the two-sided delay condition
@@ -220,20 +221,26 @@ def sweep_grid_loop(x_lo, x_hi, step):
 
 
 def loop_delay_solve(policy, strategy, params):
-    """The triangular system solved entry by entry, as an (n0, n0+1) array.
+    """The triangular system solved entry by entry on its band, as an (n0, n0+1) array.
 
-    Row n = 0 sweeps m backward from n0 (where W(0, n0) = 1/mu_{n0}); each
-    later row n uses row n - 1. Each entry is evaluated in the same order as
-    the library's wavefront kernel, so the two agree bit for bit; entries
-    outside 0 <= n < m <= n0 are NaN.
+    With K the count of prefix rates below the tail rate M, an entry past
+    the band, m - n > K, is (n + 1.0)/M. Row n = 0 sweeps m backward from
+    n0 (where W(0, n0) = 1/mu_{n0} when K >= n0); each later row n uses row
+    n - 1. Each band entry is evaluated in the same order as the library's
+    wavefront kernel, so the two agree bit for bit; entries outside
+    0 <= n < m <= n0 are NaN.
     """
     n0 = strategy.balk_state
-    lam = params.arrival_rate
+    lam, M = params.arrival_rate, policy.max_rate
+    K = int(np.count_nonzero(policy.prefix < M))
     W = np.full((max(n0, 1), n0 + 1), np.nan)
     mu = [_rate(policy, m) for m in range(1, n0 + 1)]  # mu[m-1] = mu_m
     p = strategy.probs
     for n in range(n0):
         for m in range(n0, n, -1):
+            if m - n > K:
+                W[n, m] = (n + 1.0) / M
+                continue
             lp = lam * p[m]
             denom = lp + mu[m - 1]
             val = 1.0 / denom
@@ -247,7 +254,7 @@ def loop_delay_solve(policy, strategy, params):
 
 def exact_marginal_delay(lam, policy, x) -> Fraction:
     """w(x) = W(n0 - 1, n0), n0 = ceil(x), in exact rational arithmetic: the
-    first-step system of loop_delay_solve, in its loop order, over
+    whole first-step system of loop_delay_solve, band or not, in its loop order, over
     fractions.Fraction from the exact values of lam, the policy's rates and
     x, with join probabilities min(max(x - m, 0), 1); W(-1, 0) = 0."""
     x, lam = Fraction(x), Fraction(lam)

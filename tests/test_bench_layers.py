@@ -12,7 +12,8 @@ import layers  # noqa: E402
 
 ROWS = [
     "solve_delay_table.n0_25.s", "solve_delay_table.n0_100.s", "solve_delay_table.n0_300.s",
-    "solve_delay_table.n0_1000.s", "find_equilibria.mixed_k_25.s", "find_equilibria.mixed_k_45.s",
+    "solve_delay_table.n0_1000.s", "marginal_delays.spread_k4_1_140.s",
+    "find_equilibria.mixed_k_25.s", "find_equilibria.mixed_k_45.s",
     "find_equilibria.mixed_wide.s", "find_equilibria.pure.rM_60.s",
     "find_equilibria.pure.rM_200.s", "find_equilibria.pure.case_study.s",
     "find_equilibria.pure.two_rate_rM_300.s", "sweep_mixed.24_46.s",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from threshq import delay, model
 from threshq.delay import marginal_delays, solve_delay_table
 from threshq.model import EconomicParams, JoinStrategy, ServiceRatePolicy, strategy_from_x
 
-from _oracles import UnsnappedThreshold, closed_form_below_T, dense_delay_solve, loop_delay_solve
+from _oracles import (UnsnappedThreshold, closed_form_below_T, dense_delay_solve,
+                      exact_marginal_delay, loop_delay_solve)
 from conftest import (random_general_strategy, random_params, random_policy,
                       random_threshold_strategy, written_csv)
 
@@ -136,7 +138,7 @@ class TestSolveDelayTable:
 
 
 class TestWavefrontKernel:
-    """The wavefront kernel against the entry-by-entry loop, bit for bit."""
+    """The band wavefront kernel against the entry-by-entry band loop, bit for bit."""
 
     @staticmethod
     def strategies(rng, n0):
@@ -148,10 +150,12 @@ class TestWavefrontKernel:
     def test_entries_equal_loop_oracle(self):
         rng = np.random.default_rng(31)
         for n0 in range(61):
+            # K = 0 (constant, an empty band) up to K >= n0 (the whole triangle)
             policies = (random_policy(rng, max_prefix=70),
                         ServiceRatePolicy.two_rate(int(rng.integers(1, 40)),
                                                    float(rng.uniform(0.5, 2.0)),
-                                                   float(rng.uniform(2.5, 6.0))))
+                                                   float(rng.uniform(2.5, 6.0))),
+                        ServiceRatePolicy.constant(float(rng.uniform(0.5, 6.0))))
             for policy in policies:
                 params = random_params(rng)
                 for strategy in self.strategies(rng, n0):
@@ -180,6 +184,26 @@ class TestWavefrontKernel:
         for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 marginal_delays(policy, [1.0, bad], params)
+
+    def test_marginals_within_n0_u_of_exact(self):
+        """|w - w*| <= n0 u w* (u = 2^-53) against the exact rational w* of the
+        whole system, on 48 small instances (K = 0..11 prefix rates below the
+        tail, n0 <= 40), each at a pure and a mixed threshold. Rates, lambda
+        and x have binary denominators, so every input is exact in floats."""
+        rng = np.random.default_rng(34)
+        u = Fraction(2.0 ** -53)
+        for K in range(12):
+            for _ in range(4):
+                prefix = np.sort(rng.integers(1, 40, K)) / 8.0
+                tail = (prefix.max(initial=0.0) * 8 + int(rng.integers(1, 24))) / 8.0
+                policy = ServiceRatePolicy(prefix, tail)
+                assert delay._band(policy) == K
+                lam = int(rng.integers(1, 64)) / 16.0
+                n0 = int(rng.integers(1, 41))
+                xs = [float(n0), n0 - 1 + int(rng.integers(1, 16)) / 16.0]
+                for x, w in zip(xs, marginal_delays(policy, xs, EconomicParams(lam, 1.0, 1.0))):
+                    exact = exact_marginal_delay(lam, policy, x)
+                    assert abs(Fraction(float(w)) - exact) <= n0 * u * exact, (K, lam, x)
 
     def test_empty_batch(self):
         out = marginal_delays(ServiceRatePolicy.constant(1.0), [], EconomicParams(1.0, 1.0, 1.0))
