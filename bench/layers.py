@@ -5,14 +5,17 @@
 
 With no argument, the script times the threshq on sys.path, and given one
 src/ directory that tree, in one round. Given two or more, it imports each
-tree's threshq in turn into this one process (load) and runs 7 rounds, each
-timing every row of every tree, the first tree of a round alternating. On a
-host whose speed drifts, this compares two trees more fairly than two runs
-one after the other. Per tree, "runs" holds a row's value in each round and
-"seconds" their median; a round's value is the median over 5 repeats of the
-mean seconds per call (seconds). Under "counts", find_equilibria.mixed_24_46.solves is the number
-of batched marginal_delays calls that one find_equilibria.mixed_24_46 search
-makes, counted through that tree's equilibrium module.
+tree's threshq in turn into this one process (load) and runs 7 rounds. A
+round times each row on every tree back to back, the first tree alternating
+from round to round, so a drift in the host's speed reaches the trees of a
+row alike. Per tree, "runs" holds a row's value in each round and "seconds"
+their median; a round's value is the median over 5 repeats of the mean
+seconds per call (seconds). Every tree after the first also has "ratios":
+per row, the median over rounds of its value divided by the first tree's
+value in the same round. Under "counts", find_equilibria.mixed_24_46.solves
+is the number of batched marginal_delays calls that one
+find_equilibria.mixed_24_46 search makes, counted through that tree's
+equilibrium module.
 
 The case study is the two-rate policy T = 23, rates 2 and 5, lambda = 3.
 
@@ -54,6 +57,9 @@ CLI, each call through that tree's cli.main with stdout discarded:
   and the JSON report.
 - cli.table1_case_study: ``equilibria --table1 8,8.15,8.5,9.5,13`` on the
   same instance: the five published rewards.
+- main.delay_out.spread_265: ``delay --x 264.4 --out DIR`` on the policy of
+  delay_csv.spread_265 below: the solve, both CSVs and the file opens, the
+  shape of the solver workload's `delay` queries.
 
 Output writers; their inputs are solved once, before timing, so only the
 writing is timed:
@@ -63,10 +69,12 @@ writing is timed:
 - delay_csv.spread_265: a table of the solver workload's `delay` shape,
   4 prefix rates (1.2, 2, 2.6, 3.1) then the tail 3.5, lambda = 1.7, under
   the threshold 264.4 (35,245 rows), written the same way. Past m = n + 4
-  each row repeats one value, so 34,475 entries repeat their neighbour.
+  each row ends in a run of one value, (n + 1)/M: 34,244 of the 35,245
+  entries.
 - delay_csv.rising_300: 300 prefix rates rising from 1 to 4 (tail 4.01,
   lambda = 3) under the threshold 300 (45,150 rows), written the same way:
-  no entry repeats its neighbour, so every W is formatted on its own.
+  each row's trailing run is its last entry alone, so every W is formatted
+  on its own.
 - arrival_csv.n0_266: the n0_266 table's arrival delays W(n), n = 0..266,
   written as `delay --x 266 --out` writes arrival_delay.csv.
 - report.mixed_24_46: the JSON text of the case-study report at reward 9.1
@@ -125,6 +133,8 @@ ROUNDS = 7  # with two trees or more; one tree alone is timed in one round
 BUDGET = 0.25  # seconds of calls per row and round
 CASE_STUDY_DOC = {"lambda": 3.0, "reward": 8.5, "wait_cost": 1.0,
                   "policy": {"T": 23, "mu_low": 2.0, "mu_high": 5.0}}
+SPREAD_DOC = {"lambda": 1.7, "reward": 9.1, "wait_cost": 1.0,
+              "policy": {"prefix": [1.2, 2.0, 2.6, 3.1], "tail": 3.5}}
 
 
 def load(src: str | None):
@@ -209,17 +219,23 @@ def kernel(tq) -> dict:
 
 def cli_calls(tq, tmp: str) -> dict:
     """name -> a parser build or cli.main call of tree tq."""
-    path = os.path.join(tmp, "case_study.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(CASE_STUDY_DOC, fh)
+    paths = {}
+    for name, doc in (("case_study", CASE_STUDY_DOC), ("spread", SPREAD_DOC)):
+        paths[name] = os.path.join(tmp, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
 
-    def equilibria(*args):
+    def cli_main(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
-            assert tq.cli.main(["equilibria", "--instance", path, *args]) == 0
+            assert tq.cli.main(list(argv)) == 0
+    equilibria = functools.partial(cli_main, "equilibria", "--instance", paths["case_study"])
     return {"build_parser.s": tq.cli.build_parser.__wrapped__,
             "main.equilibria.case_study.s": equilibria,
             "cli.table1_case_study.s": functools.partial(equilibria, "--table1",
-                                                         "8,8.15,8.5,9.5,13")}
+                                                         "8,8.15,8.5,9.5,13"),
+            "main.delay_out.spread_265.s": functools.partial(
+                cli_main, "delay", "--instance", paths["spread"], "--x", "264.4",
+                "--out", os.path.join(tmp, "delay_out"))}
 
 
 def writers(tq, tmp: str) -> dict:
@@ -299,17 +315,22 @@ def main(trees: list[str]) -> dict:
             calls.append(rows(tq, tmp))
             counts.append({"find_equilibria.mixed_24_46.solves": solves(
                 tq, calls[-1]["find_equilibria.mixed_24_46.s"])})
-        runs = [{name: [] for name in c} for c in calls]
+        runs = [{name: [] for name in calls[0]} for _ in srcs]
         for r in range(rounds):
-            for i in (range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs)))):
-                for name, fn in calls[i].items():
-                    runs[i][name].append(seconds(fn))
+            order = list(range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs))))
+            for name in calls[0]:
+                for i in order:
+                    runs[i][name].append(seconds(calls[i][name]))
+    trees = {}
+    for i, (src, run, count) in enumerate(zip(srcs, runs, counts)):
+        tree = trees[src or "sys.path"] = {
+            "seconds": {name: statistics.median(v) for name, v in run.items()},
+            "counts": count, "runs": run}
+        if i:
+            tree["ratios"] = {name: statistics.median(b / a for a, b in zip(runs[0][name], v))
+                              for name, v in run.items()}
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine(), "rounds": rounds, "trees": {
-                src or "sys.path": {"seconds": {name: statistics.median(v)
-                                                for name, v in run.items()},
-                                    "counts": count, "runs": run}
-                for src, run, count in zip(srcs, runs, counts)}}
+            "machine": platform.machine(), "rounds": rounds, "trees": trees}
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ are zero from each row's own balk state on, so entries past it are finite
 and multiplied by p = 0, and never reach a valid entry. Callers that need
 only the marginal delay W(n0-1, n0) keep two wavefronts instead of the table.
 
-A table's CSV streams to its file in blocks of rows (DelayTable.to_csv), so
-writing it holds one block's text, not the table's. Most of a row's text
-repeats, since past the band each row holds the one value (n + 1)/M, and the
-writer formats each run of bit-identical entries once.
+A table's CSV streams to its file one row at a time (DelayTable.to_csv), so
+writing it holds one row's text, not the table's. Past the band each row
+holds the one value (n + 1)/M: the writer formats it once per row and joins
+the m values of the row's trailing run around it.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .model import (EconomicParams, JoinStrategy, ServiceRatePolicy, check_table
 # strategies x padded balk state per batched sweep; larger batches are split,
 # so the memory of a batched solve stays a few MB whatever its size
 _CHUNK_CELLS = 1 << 15
-# entries per block of rows that DelayTable.to_csv formats with one %
+# entries per block of rows whose trailing runs DelayTable.to_csv finds at once
 _CSV_BLOCK = 1 << 11
 
 
@@ -62,37 +62,37 @@ class DelayTable:
         """Write the table as CSV to the text stream ``file``: header n,m,W, then
         one line per entry, W to 17 significant digits.
 
-        Rows go out in blocks of about _CSV_BLOCK entries, each one string
-        from a single ``%`` over a template joined from per-m pieces, so the
-        writer holds one block's text at a time: memory follows the table
-        and not its text, which is about 141 MB at the largest table
-        check_table_size allows. Past m = n + K (K prefix rates below the
-        tail) a row holds the exact W(n, m) = (n + 1)/M, bit for bit the
-        same value, so for most rows a block repeats few bit patterns;
-        where over half its entries repeat their neighbour, each run of
-        equal bits is formatted once and its text repeated. Bits, not
-        floats, are compared: -0.0 and 0.0 print differently, and NaN
-        equals nothing.
+        Each row is two parts: its trailing run, the entries whose bits
+        equal those of W(n, n0), and the head before it. The head is one
+        ``%`` over a template joined from the row's m values; the run
+        formats W(n, n0) once and joins its m values around it. Past
+        m = n + K (K prefix rates below the tail) a row holds the exact
+        (n + 1)/M, so the run is most of the row. Runs are found from the
+        bits, not the floats, for about _CSV_BLOCK entries' rows at a time:
+        -0.0 and 0.0 print differently, and NaN equals nothing. Each row
+        goes out as one string, so the writer holds one row's text at a
+        time: memory follows the table and not its text, which is about
+        141 MB at the largest table check_table_size allows.
         """
         file.write("n,m,W\n")
         n0 = self.n0
-        # row n's template: its pieces m = n + 1..n0 joined by f"{conv}\n{n},", where
-        # conv is s for a block of formatted W and .17g for a block of floats
-        pieces = [f"{m},%" for m in range(n0 + 1)]
+        ms = [str(m) for m in range(n0 + 1)]
+        bits = self.entries.view(np.uint64)
         ends = np.cumsum(n0 - np.arange(n0))  # entries in rows 0..n
         a = 0
         while a < n0:
             # rows a..b-1: as many as _CSV_BLOCK entries hold, and at least one
             b = max(int(np.searchsorted(ends, ends[a] - (n0 - a) + _CSV_BLOCK, "right")), a + 1)
-            cells = np.concatenate([self.entries[n, n + 1:] for n in range(a, b)])
-            bits = cells.view(np.uint64)
-            runs = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))  # run starts
-            conv = ".17g"
-            if 2 * len(runs) < len(cells):  # over half the entries repeat their neighbour
-                texts = np.array(["%.17g" % w for w in cells[runs].tolist()], dtype=object)
-                cells, conv = np.repeat(texts, np.diff(runs, append=len(cells))), "s"
-            file.write("".join([f"{n}," + f"{conv}\n{n},".join(pieces[n + 1:]) + f"{conv}\n"
-                                for n in range(a, b)]) % tuple(cells.tolist()))
+            # a row's run starts after its last entry unlike W(n, n0), at m = n + 1 at
+            # the earliest; column a lies below every row's triangle and bounds the search
+            neq = bits[a:b, a:] != bits[a:b, -1:]
+            neq[:, 0] = True
+            starts = np.maximum(n0 + 1 - neq[:, ::-1].argmax(axis=1), np.arange(a + 1, b + 1))
+            for n, t, w in zip(range(a, b), starts.tolist(), self.entries[a:b, n0].tolist()):
+                w = "%.17g" % w
+                file.write((f"{n}," + f",%.17g\n{n},".join(ms[n + 1:t] + [""]))
+                           % tuple(self.entries[n, n + 1:t].tolist())
+                           + f",{w}\n{n},".join(ms[t:]) + f",{w}\n")
             a = b
 
 

@@ -38,6 +38,8 @@ reports = st.builds(EquilibriumReport, st.lists(ints, max_size=5),
 BLOCK = min(cli._BLOCK_ROWS, 4096)
 lengths = st.one_of(st.integers(0, 2 * BLOCK + 2),
                     st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]))
+# a quiet NaN with a nonzero payload: it prints as nan, but its bits differ from math.nan's
+PAYLOAD_NAN = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64).item()
 pure_lists = st.lists(st.integers(0, 3161), max_size=3).map(lambda ks: ";".join(map(str, ks)))
 
 
@@ -74,6 +76,8 @@ cli_tables = st.one_of(
 
 @WRITERS
 @given(policies, thresholds, st.floats(0.1, 5.0))
+@example(ServiceRatePolicy.constant(2.0), 30.0, 1.5)  # K = 0: every row is its tail
+@example(ServiceRatePolicy.two_rate(40, 1.0, 2.0), 25.5, 1.5)  # K >= n0: no row has a tail
 def test_delay_csv_matches_loop_oracle(policy, x, lam):
     table = solve_delay_table(policy, strategy_from_x(x), EconomicParams(lam, 1.0, 1.0))
     assert written_csv(table) == loop_delay_csv(table)
@@ -102,6 +106,18 @@ def hand_built(n0, runs):
 @example(hand_built(70, [(1.0 + 2.0 ** -52, 1), (1.0, 1)]))  # no repeats, and more than one block
 # runs over many rows, one across a block edge
 @example(hand_built(70, [(-0.0, 1000), (0.0, 1415)]))
+# each row one run from m = n + 1, so the whole row is its trailing run; with NaN,
+# the run's bits also match the NaN below the triangle
+@example(hand_built(4, [(1.0, 4), (2.0, 3), (3.0, 2), (4.0, 1)]))
+@example(hand_built(3, [(math.nan, 6)]))
+@example(hand_built(1, [(math.nan, 1)]))
+@example(hand_built(3, [(0.5, 2), (0.75, 1)]))  # trailing runs of length 1
+@example(hand_built(4, [(-0.0, 2), (0.0, 2)]))  # a 0.0 run right after -0.0
+# NaN runs after a NaN of the other sign, and of another payload
+@example(hand_built(4, [(math.nan, 1), (-math.nan, 3)]))
+@example(hand_built(4, [(math.nan, 2), (PAYLOAD_NAN, 2)]))
+# rows 0..39 are the first block: the 2.0 run ends row 39 and fills rows 40..69
+@example(hand_built(70, [(1.0, 2005), (2.0, 480)]))
 def test_delay_csv_of_hand_built_tables_matches_loop_oracle(table):
     """Runs of equal bits, of -0.0 and 0.0, of NaN and infinities, within and
     across rows and blocks, write the bytes of one f-string per entry."""
